@@ -200,7 +200,7 @@ func runTune(shapes, out, algName, algsCSV string, budget time.Duration, reps, m
 		fmt.Printf("%-16s %-22s %14d %-22s %14d %+8.1f%%\n",
 			fmt.Sprintf("%dx%dx%d", m, k, n),
 			e.DefaultPlan, e.DefaultNsPerOp,
-			fmt.Sprintf("%s/L%d/%s", e.Alg, e.Levels, e.Schedule), e.NsPerOp,
+			fmt.Sprintf("%s/L%d", e.Alg, e.Levels), e.NsPerOp,
 			e.GainPercent())
 		if e.GainPercent() >= minGain && minGain > 0 {
 			gained++

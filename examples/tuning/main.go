@@ -1,5 +1,5 @@
-// Tuning study: how recursion depth, engine schedule, and parallelism
-// affect runtime — the practical knobs behind the paper's Figure 2(B).
+// Tuning study: how recursion depth and parallelism affect runtime —
+// the practical knobs behind the paper's Figure 2(B).
 //
 //	go run ./examples/tuning
 package main
@@ -37,11 +37,9 @@ func main() {
 			float64(d)/float64(classical))
 	}
 	for _, l := range []int{0, 1, 2, 3, 4} {
-		report(fmt.Sprintf("levels=%d scheduled kernel-parallel", l), abmm.Options{Levels: l})
+		report(fmt.Sprintf("levels=%d", l), abmm.Options{Levels: l})
 	}
 	report("auto levels", abmm.Options{Levels: abmm.AutoLevels})
-	report("levels=3 direct (no CSE schedule)", abmm.Options{Levels: 3, Direct: true})
-	report("levels=3 task-parallel", abmm.Options{Levels: 3, TaskParallel: true})
 	report("levels=3 single-threaded", abmm.Options{Levels: 3, Workers: 1})
 	w.Flush()
 	fmt.Printf("\nGOMAXPROCS=%d; deeper recursion trades O(n³) work for O(n²) additions,\n", runtime.GOMAXPROCS(0))

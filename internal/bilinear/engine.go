@@ -15,25 +15,12 @@ import (
 
 // Options controls execution of the recursive bilinear engine.
 type Options struct {
-	// Workers is the degree of parallelism; 0 means GOMAXPROCS.
+	// Workers is the degree of parallelism; 0 means GOMAXPROCS. Together
+	// with the recursion depth and the algorithm's rank it picks the
+	// engine's parallel form (see NewEngine).
 	Workers int
-	// TaskParallel selects the task-parallel schedule: the R recursive
-	// products of the top recursion levels run as concurrent tasks with
-	// sequential kernels, instead of the default schedule of a
-	// sequential recursion over parallel linear-combination and
-	// base-case kernels (the paper's scheme). The task schedule uses
-	// more memory (R product buffers per parallel node) and serves as
-	// an ablation point.
-	TaskParallel bool
-	// Direct disables the CSE-compiled linear-phase programs and
-	// executes each encoding/decoding combination independently. This
-	// uses less memory (three scratch blocks per recursion level) but
-	// performs the raw operator addition counts with no sharing — e.g.
-	// 24 instead of 15 additions per step for Winograd's variant. It
-	// serves as the memory-lean mode and as an ablation point.
-	Direct bool
 	// Recorder, when non-nil, receives task spawn/inline events from
-	// the task-parallel schedules and nested pack/kernel phase spans
+	// the fanned-out levels and nested pack/kernel phase spans
 	// from the base-case kernel; nil disables recording at zero cost.
 	Recorder obs.Recorder
 	// Kernel carries the packed base-case kernel's cache-blocking
@@ -67,15 +54,16 @@ func Exec(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix 
 // for concurrent ExecInto calls; core.Plan builds one per compiled plan
 // and reuses it for every execution of that shape.
 type Engine struct {
-	s             *Spec
-	workers       int
-	kernelWorkers int
-	// taskMinLevel is the lowest recursion level (counting down toward
-	// the base case at 0) at which products are still spawned as tasks;
-	// 0 disables task parallelism entirely.
-	taskMinLevel int
-	limiter      *parallel.Limiter
-	direct       bool
+	s *Spec
+	// workers is the resolved parallelism. The linear-phase programs of
+	// nodes at level 2 and above always get all of it: no task runs
+	// beside them. kernelWorkers is what the levels beneath get (the
+	// base-case kernel, fused leaf steps, level-1 programs): all workers
+	// without fan-out, one with it.
+	workers, kernelWorkers int
+	// limiter bounds the tasks of a fanned-out engine (the products of
+	// its level-2 nodes); it is nil when the engine does not fan out.
+	limiter *parallel.Limiter
 	// mixed, when non-nil, selects a different spec per level
 	// (non-stationary recursion): mixed[0] at the top level.
 	mixed  []*Spec
@@ -105,14 +93,16 @@ func (e *Engine) specAt(level int) *Spec {
 	return e.mixed[e.levels-level]
 }
 
-// register caches the encoding columns of a spec. Registration happens
-// only at construction (NewEngine, ExecMixed), before the engine is
-// shared; colsOf is the read-only execution-time lookup, so concurrent
-// ExecInto calls never write e.cols.
+// register caches the encoding columns of a spec and compiles its
+// linear-phase programs. Registration happens only at construction
+// (newEngine), before the engine is shared; colsOf is the read-only
+// execution-time lookup, so concurrent ExecInto calls never write
+// e.cols.
 func (e *Engine) register(s *Spec) {
 	if _, ok := e.cols[s]; ok {
 		return
 	}
+	s.Programs() // compile once before any parallel execution
 	e.cols[s] = &specCols{u: columns(s.uF), v: columns(s.vF)}
 }
 
@@ -128,45 +118,60 @@ func (e *Engine) colsOf(s *Spec) *specCols {
 }
 
 // NewEngine compiles the execution state for running spec s at the
-// given depth: resolved workers, the task-spawning depth, compiled
+// given depth: resolved workers, the parallel form, compiled
 // linear-phase programs, and the per-spec coefficient columns. The
 // returned Engine is reusable and concurrency-safe.
+//
+// The parallel form follows from (workers, levels) and the rank R of the
+// level-2 algorithm alone. The engine fans out when there is more than
+// one worker, at least two levels, and R >= workers: every level-2 node
+// then runs its R products — each a fused leaf step — as limiter-bounded
+// concurrent tasks over serial kernels, while the nodes above it run one
+// after another. This is the breadth-first/depth-first hybrid of
+// Benson–Ballard (PAPERS.md) with the breadth-first step at the bottom,
+// so at most one level-2 node's products are in flight per execution
+// and the workspace stays that of the sequential form. Otherwise — one
+// worker, fewer than two levels (the fused leaf is the whole recursion),
+// or more workers than one node has products — there is no fan-out and
+// every kernel gets all workers. EXPERIMENTS.md "Engine schedule
+// ablation" measures both forms. Either gives bitwise-equal results:
+// parallelism never reorders an accumulation.
 func NewEngine(s *Spec, opt Options, levels int) *Engine {
+	return newEngine(s, nil, opt, levels)
+}
+
+// newEngine builds an engine for spec s, or, when mixed is non-nil, for
+// the per-level specs mixed (mixed[0] at the top level; s == mixed[0]).
+func newEngine(s *Spec, mixed []*Spec, opt Options, levels int) *Engine {
 	if levels < 0 {
 		panic("bilinear: negative recursion depth")
 	}
+	w := opt.workers()
 	e := &Engine{
-		s: s, workers: opt.workers(), kernelWorkers: opt.workers(),
-		direct: opt.Direct, rec: opt.Recorder, kb: opt.Kernel, fuse: !opt.NoFuse,
+		s: s, workers: w, kernelWorkers: w, mixed: mixed, levels: levels,
+		rec: opt.Recorder, kb: opt.Kernel, fuse: !opt.NoFuse,
 	}
 	e.regionNames = make([]string, levels+1)
 	for l := 1; l <= levels; l++ {
 		e.regionNames[l] = fmt.Sprintf("bilinear.L%d", l)
 	}
-	if !e.direct {
-		s.Programs() // compile once before any parallel execution
-	}
-	if opt.TaskParallel {
-		// Spawn tasks on the top levels until R^depth covers ~4 tasks
-		// per worker, then recurse sequentially with serial kernels.
-		want := 4 * e.workers
-		depth, span := 0, 1
-		for span < want && depth < levels {
-			span *= s.R
-			depth++
-		}
-		e.taskMinLevel = levels - depth + 1
-		if e.taskMinLevel < 1 {
-			e.taskMinLevel = 1
-		}
-		e.limiter = parallel.NewLimiter(4 * e.workers)
-		e.kernelWorkers = 1
-	}
-	e.levels = levels
 	e.cols = make(map[*Spec]*specCols, 1)
 	e.register(s)
+	for _, m := range mixed {
+		// Register every spec's coefficient columns up front so colsOf
+		// stays read-only during (possibly fanned-out) execution.
+		e.register(m)
+	}
+	if w > 1 && levels >= 2 && e.specAt(2).R >= w {
+		e.limiter = parallel.NewLimiter(4 * w)
+		e.kernelWorkers = 1
+	}
 	return e
 }
+
+// FansOut reports whether the engine spawns the products of its level-2
+// nodes as concurrent tasks. A nil engine (a level-0 plan) does not.
+func (e *Engine) FansOut() bool { return e != nil && e.limiter != nil }
 
 // WithRecorder returns an engine identical to e but reporting to rec —
 // a shallow copy sharing the compiled state (coefficient columns,
@@ -196,10 +201,10 @@ func columns(m *matrix.Matrix) [][]float64 {
 }
 
 // ExecInto runs the engine's recursion, writing the stacked product
-// into c. Scratch is drawn from al; with a warm pool.Arena the call
-// performs no heap allocation on the default (scheduled, sequential-
-// kernel) path. c must be fully writable scratch or output — its prior
-// contents are ignored.
+// into c. Scratch is drawn from al; with a warm pool.Arena and one
+// worker the call performs no heap allocation. c must be fully writable
+// scratch or output — its prior contents are ignored.
+//
 //abmm:hotpath
 func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
 	e.ExecIntoCancel(c, a, b, al, nil)
@@ -211,6 +216,7 @@ func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
 // cn is set, leaving c in an unspecified state. Scratch accounting stays
 // balanced on the abandoned path, so the arena remains reusable. A nil
 // cn is valid and makes this identical to ExecInto.
+//
 //abmm:hotpath
 func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
 	s, levels := e.s, e.levels
@@ -254,43 +260,40 @@ func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, c
 	}
 	// The last recursion level collapses into fused packed-kernel calls
 	// (encode during packing, decode during write-out; see fused.go).
-	// This holds for every schedule — task-parallel runs spawn their
-	// tasks at levels >= 2 and each subtree bottoms out here — so the
-	// bitwise result is schedule-independent, as the determinism tests
-	// pin.
+	// Fanned-out engines spawn their tasks at level 2 and each task
+	// bottoms out here, so the bitwise result does not depend on
+	// the worker count, as the determinism tests pin.
 	if level == 1 && e.fuse {
 		e.fusedStep(c, a, b, al, cn)
 		return
 	}
-	if !e.direct {
-		e.scheduled(c, a, b, level, al, cn)
-		return
-	}
-	if e.limiter != nil && level >= e.taskMinLevel {
-		e.taskParallel(c, a, b, level, al, cn)
-		return
-	}
-	e.sequential(c, a, b, level, al, cn)
+	e.scheduled(c, a, b, level, al, cn)
 }
 
 // scheduled runs one recursion step using the CSE-compiled linear-phase
 // programs: all S_r and T_r are produced by the shared encode programs,
-// the R products recurse (as concurrent tasks on the top levels in
-// task-parallel mode), and the decode program writes the output groups
+// the R products recurse (as concurrent tasks at level 2 of a
+// fanned-out engine), and the decode program writes the output groups
 // in place.
 func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
 	s := e.specAt(level)
 	encA, encB, dec := s.Programs()
 	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
+	// No task runs beside a node at level 2 or above, so its linear
+	// phase gets every worker even in a fanned-out engine.
+	w := e.kernelWorkers
+	if level >= 2 {
+		w = e.workers
+	}
 	aGroups := groupsIn(al, a, s.DU())
 	bGroups := groupsIn(al, b, s.DV())
-	sRun := runProgram(encA, aGroups, ah, a.Cols, nil, e.kernelWorkers, al)
-	tRun := runProgram(encB, bGroups, bh, b.Cols, nil, e.kernelWorkers, al)
+	sRun := runProgram(encA, aGroups, ah, a.Cols, nil, w, al)
+	tRun := runProgram(encB, bGroups, bh, b.Cols, nil, w, al)
 	prods := al.Mats(s.R)
 	for r := range prods {
 		prods[r] = al.Mat(ch, c.Cols)
 	}
-	if e.limiter != nil && level >= e.taskMinLevel {
+	if e.limiter != nil && level == 2 {
 		// Done in a separate method so its closures don't force sRun
 		// and tRun to the heap on the non-task path.
 		e.recurseTasks(prods, sRun.outs, tRun.outs, level, al, cn)
@@ -304,7 +307,7 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator,
 	putGroups(al, aGroups)
 	putGroups(al, bGroups)
 	cGroups := groupsIn(al, c, s.DW())
-	dRun := runProgram(dec, prods, ch, c.Cols, cGroups, e.kernelWorkers, al)
+	dRun := runProgram(dec, prods, ch, c.Cols, cGroups, w, al)
 	dRun.release(al)
 	putGroups(al, cGroups)
 	for _, p := range prods {
@@ -314,10 +317,9 @@ func (e *Engine) scheduled(c, a, b *matrix.Matrix, level int, al pool.Allocator,
 }
 
 // recurseTasks runs the R product recursions of one scheduled node as
-// limiter-bounded concurrent tasks. The task-parallel schedules are the
-// opt-in, memory-hungry ablation mode: per-product task closures (and
-// the goroutines behind them) allocate by design, so the zero-alloc
-// guarantee covers only the default schedule.
+// limiter-bounded concurrent tasks. Per-product task closures (and the
+// goroutines behind them) allocate by design; fan-out needs more than
+// one worker, so the zero-alloc guarantee at one worker is unaffected.
 //
 //abmm:coldpath
 func (e *Engine) recurseTasks(prods, souts, touts []*matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
@@ -338,114 +340,6 @@ func (e *Engine) recurseTasks(prods, souts, touts []*matrix.Matrix, level int, a
 		}
 	}
 	wg.Wait()
-}
-
-// sequential is the low-memory depth-first schedule: one S, T and
-// product buffer per recursion level, with products accumulated
-// directly into the output groups as they are produced.
-func (e *Engine) sequential(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
-	s := e.specAt(level)
-	sc := e.colsOf(s)
-	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
-	S := al.Mat(ah, a.Cols)
-	T := al.Mat(bh, b.Cols)
-	P := al.Mat(ch, c.Cols)
-	aGroups := groupsIn(al, a, s.DU())
-	bGroups := groupsIn(al, b, s.DV())
-	cGroups := groupsIn(al, c, s.DW())
-	// The touched flags live on the stack: no catalog algorithm has
-	// D_W > 32, and the cold spill keeps exotic specs correct.
-	var touchedBuf [32]bool
-	touched := touchedBuf[:]
-	if s.DW() > len(touchedBuf) {
-		// Cold spill: no catalog algorithm exceeds the stack table.
-		//abmm:allow hotpath-alloc
-		touched = make([]bool, s.DW())
-	}
-	touched = touched[:s.DW()]
-	for r := 0; r < s.R; r++ {
-		if cn.Canceled() {
-			break
-		}
-		matrix.LinearCombine(S, sc.u[r], aGroups, e.kernelWorkers)
-		matrix.LinearCombine(T, sc.v[r], bGroups, e.kernelWorkers)
-		e.recurse(P, S, T, level-1, al, cn)
-		for k := 0; k < s.DW(); k++ {
-			w := s.wF.At(k, r)
-			if w == 0 {
-				continue
-			}
-			if touched[k] {
-				matrix.AddScaled(cGroups[k], P, w, e.kernelWorkers)
-			} else {
-				matrix.Scale(cGroups[k], P, w, e.kernelWorkers)
-				touched[k] = true
-			}
-		}
-	}
-	for k, t := range touched {
-		if !t {
-			cGroups[k].Zero()
-		}
-	}
-	putGroups(al, aGroups)
-	putGroups(al, bGroups)
-	putGroups(al, cGroups)
-	al.PutMat(S)
-	al.PutMat(T)
-	al.PutMat(P)
-}
-
-// taskParallel runs the R products of this node as concurrent tasks
-// when the limiter grants slots (running them inline otherwise), then
-// decodes all output groups in parallel. Each task owns its S, T and
-// product buffers. Like recurseTasks this is the opt-in task-parallel
-// ablation mode, allocating task closures by design.
-//
-//abmm:coldpath
-func (e *Engine) taskParallel(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {
-	s := e.specAt(level)
-	sc := e.colsOf(s)
-	ah, bh, ch := a.Rows/s.DU(), b.Rows/s.DV(), c.Rows/s.DW()
-	aGroups := groupsIn(al, a, s.DU())
-	bGroups := groupsIn(al, b, s.DV())
-	var wg sync.WaitGroup
-	prods := al.Mats(s.R)
-	for r := 0; r < s.R; r++ {
-		prods[r] = al.Mat(ch, c.Cols)
-		task := func(r int) func() {
-			return func() {
-				S := al.Mat(ah, a.Cols)
-				T := al.Mat(bh, b.Cols)
-				matrix.LinearCombine(S, sc.u[r], aGroups, 1)
-				matrix.LinearCombine(T, sc.v[r], bGroups, 1)
-				e.recurse(prods[r], S, T, level-1, al, cn)
-				al.PutMat(S)
-				al.PutMat(T)
-			}
-		}(r)
-		// The last product always runs inline so the spawning
-		// goroutine contributes work instead of blocking.
-		spawned := r != s.R-1 && e.limiter.TrySpawn(&wg, task)
-		if e.rec != nil {
-			e.rec.TaskSpawn(spawned)
-		}
-		if !spawned {
-			task()
-		}
-	}
-	wg.Wait()
-	cGroups := groupsIn(al, c, s.DW())
-	parallel.For(s.DW(), e.workers, 1, func(k int) {
-		matrix.LinearCombine(cGroups[k], s.wF.Row(k), prods, 1)
-	})
-	putGroups(al, aGroups)
-	putGroups(al, bGroups)
-	putGroups(al, cGroups)
-	for _, p := range prods {
-		al.PutMat(p)
-	}
-	al.PutMats(prods)
 }
 
 // groupsIn splits a stacked operand into its d top-level contiguous row

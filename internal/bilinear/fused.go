@@ -32,9 +32,8 @@ const maxFusedDim = 32
 // (u[i][r], A_i) × (v[i][r], B_i) and scatters w[k][r]·P_r into each
 // output group C_k during the kernel's tile write-out. The first
 // product to touch a group overwrites it (Accum false) and later
-// products accumulate, mirroring the Scale/AddScaled discipline of the
-// sequential schedule; groups no product touches are zeroed at the
-// end.
+// products accumulate, a Scale/AddScaled discipline; groups no product
+// touches are zeroed at the end.
 //
 // Rounding relative to the unfused schedule (see fused_test.go for the
 // pinned statements): the encode fusion is exact — packing applies

@@ -37,16 +37,7 @@ func ExecMixed(specs []*Spec, a, b *matrix.Matrix, opt Options) *matrix.Matrix {
 	if a.Rows%du != 0 {
 		panic("bilinear: operand rows not divisible for mixed recursion")
 	}
-	e := NewEngine(first, opt, levels)
-	e.mixed = specs
-	for _, s := range specs {
-		if !e.direct {
-			s.Programs()
-		}
-		// Register every spec's coefficient columns up front so colsOf
-		// stays read-only during (possibly task-parallel) execution.
-		e.register(s)
-	}
+	e := newEngine(first, specs, opt, levels)
 	dw := ipow(first.M0*first.N0, levels)
 	c := matrix.New(dw*(a.Rows/du), b.Cols)
 	e.recurse(c, a, b, levels, pool.Global, nil)

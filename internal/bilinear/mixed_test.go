@@ -19,9 +19,8 @@ func TestMultiplyMixedMatchesClassical(t *testing.T) {
 	b.FillUniform(matrix.Rand(2), -1, 1)
 	want := mulRef(a, b)
 	for _, opt := range []bilinear.Options{
+		{Workers: 1},
 		{Workers: 2},
-		{Workers: 2, Direct: true},
-		{Workers: 2, TaskParallel: true},
 	} {
 		got := bilinear.MultiplyMixed(specs, a, b, opt)
 		if d := matrix.MaxAbsDiff(got, want); d > 1e-11 {

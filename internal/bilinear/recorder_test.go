@@ -75,3 +75,44 @@ func TestEngineWithRecorder(t *testing.T) {
 		t.Fatal("nil engine should rebind to nil")
 	}
 }
+
+// TestTaskFanOutRule pins when the engine fans products out as tasks:
+// never at one worker (whatever the depth), never below two levels (the
+// fused leaf is the whole recursion), and never when a level-2 node has
+// fewer products than there are workers (strassen's 7 cannot busy 8 or
+// 16, at any depth); otherwise always. Every spawn-or-inline
+// decision of a fanned-out node reports one TaskSpawn event, so the
+// event count tells the forms apart.
+func TestTaskFanOutRule(t *testing.T) {
+	alg := algos.Strassen()
+	const n = 64
+	a, b := matrix.New(n, n), matrix.New(n, n)
+	a.FillUniform(matrix.Rand(7), -1, 1)
+	b.FillUniform(matrix.Rand(8), -1, 1)
+	for _, tc := range []struct {
+		workers, levels int
+		fansOut         bool
+	}{
+		{1, 3, false},
+		{2, 1, false},
+		{2, 2, true},
+		{7, 2, true},
+		{8, 2, false},
+		{16, 2, false},
+		{7, 3, true},
+		{8, 3, false},
+	} {
+		rec := &countRec{}
+		opt := bilinear.Options{Workers: tc.workers, Recorder: rec}
+		if got := bilinear.NewEngine(alg.Spec, opt, tc.levels).FansOut(); got != tc.fansOut {
+			t.Errorf("workers=%d levels=%d: FansOut() = %t, want %t", tc.workers, tc.levels, got, tc.fansOut)
+		}
+		as := bilinear.ToRecursive(a, alg.Spec.M0, alg.Spec.K0, tc.levels, 1)
+		bs := bilinear.ToRecursive(b, alg.Spec.K0, alg.Spec.N0, tc.levels, 1)
+		bilinear.Exec(alg.Spec, as, bs, tc.levels, opt)
+		if got := rec.tasks.Load(); (got > 0) != tc.fansOut {
+			t.Errorf("workers=%d levels=%d: %d TaskSpawn events, want fan-out %t",
+				tc.workers, tc.levels, got, tc.fansOut)
+		}
+	}
+}

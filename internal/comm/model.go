@@ -29,9 +29,10 @@ type Model struct {
 }
 
 // NewModel derives a Model from an algorithm. The footprint coefficient
-// follows the schedule: the low-memory direct schedule needs the two
-// operands plus output (3n²) short of scratch, while the scheduled
-// (CSE) engine of this library and of the paper's implementation
+// follows the schedule: the paper's low-memory direct schedule (which
+// Trace simulates) needs the two operands plus output (3n²) short of
+// scratch, while the scheduled (CSE) form of this library's engine and
+// of the paper's implementation
 // reaches (2⅔+o(1))n² for alternative basis algorithms by transforming
 // in place; we take the published coefficients for the known profiles
 // and 3n² otherwise.

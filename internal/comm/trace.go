@@ -6,11 +6,13 @@ import (
 	"abmm/internal/bilinear"
 )
 
-// Trace replays the element-level memory-access pattern of the
-// direct-schedule recursive engine (Algorithm 1: layout conversion,
-// basis transformations, bilinear recursion with one S/T/P scratch set
-// per level, inverse transformation, inverse layout) into the cache
-// simulator, and returns the resulting traffic in words. n must be
+// Trace replays the element-level memory-access pattern of a
+// direct-schedule recursion (Algorithm 1: layout conversion, basis
+// transformations, bilinear recursion with one S/T/P scratch set per
+// level, inverse transformation, inverse layout) into the cache
+// simulator, and returns the resulting traffic in words. It models the
+// paper's low-memory schedule, not the library's engine, which runs the
+// CSE-scheduled linear phase with R scratch blocks per level. n must be
 // divisible by the base powers for the requested levels.
 func Trace(alg *algos.Algorithm, n, levels int, c *Cache) int64 {
 	s := alg.Spec
@@ -118,7 +120,7 @@ func (t *tracer) transformRec(tr *basis.Transform, src, dst, srcWords, dstWords 
 	t.freeTo(mark)
 }
 
-// recurse models the direct-schedule bilinear recursion and returns the
+// recurse models the direct-schedule bilinear recursion (see Trace) and returns the
 // address of the product operand.
 func (t *tracer) recurse(a, b, aWords, bWords int64, level, base int) int64 {
 	s := t.spec

@@ -32,12 +32,14 @@ type Options struct {
 	// explicit. Default 512, which empirically sits at the
 	// overhead-vs-arithmetic sweet spot for the pure-Go kernels.
 	MinBase int
-	// Workers is the degree of parallelism; 0 means GOMAXPROCS.
+	// Workers is the degree of parallelism; 0 means GOMAXPROCS. There
+	// is no schedule option: the engine derives its parallel form from
+	// the resolved workers, the levels and the algorithm's rank R (see
+	// bilinear.NewEngine). With two or more levels and 1 < workers <= R
+	// it runs each level-2 node's R products as concurrent tasks. The
+	// plan identity reports the form it picked ("task" or "seq"; see
+	// Plan.Desc).
 	Workers int
-	// TaskParallel and Direct select engine schedules; see
-	// bilinear.Options.
-	TaskParallel bool
-	Direct       bool
 	// Kernel overrides the packed base-case kernel's cache-blocking
 	// parameters (mc/kc/nc); the zero value selects
 	// kernel.DefaultBlocking. See DESIGN.md §2e for selection guidance.
@@ -65,9 +67,9 @@ type Options struct {
 	Plans *obs.PlanRegistry
 	// Tuner, when non-nil, is consulted once per plan-cache miss whose
 	// recursion depth was left automatic (Levels < 0): the tuner may
-	// override the algorithm, levels, schedule, and workers for that
-	// shape (from a persisted tuning profile, or by bounded measurement —
-	// see internal/tune). Plans compiled from a tuner decision carry a
+	// override the algorithm, levels, and workers for that shape (from
+	// a persisted tuning profile, or by bounded measurement — see
+	// internal/tune). Plans compiled from a tuner decision carry a
 	// "/tuned" marker in their identity (X-Abmm-Plan, /debug/plans).
 	// Explicit Levels settings always win: a caller who pinned the depth
 	// is never second-guessed. The warm path never consults the tuner —
@@ -117,11 +119,6 @@ type TunedChoice struct {
 	// Levels is the recursion depth to compile; negative keeps automatic
 	// selection.
 	Levels int
-	// TaskParallel and Direct select the engine schedule (both false =
-	// the sequential schedule, deliberately not "keep default": the
-	// schedule is part of the tuned tuple).
-	TaskParallel bool
-	Direct       bool
 	// Workers overrides the degree of parallelism; 0 keeps the default.
 	Workers int
 	// Kernel overrides the base-case blocking; the zero value keeps the
@@ -189,7 +186,6 @@ func compilePlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 	if ch.Levels >= 0 {
 		opt.Levels = ch.Levels
 	}
-	opt.TaskParallel, opt.Direct = ch.TaskParallel, ch.Direct
 	if ch.Workers > 0 {
 		opt.Workers = ch.Workers
 	}

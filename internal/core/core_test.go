@@ -97,19 +97,21 @@ func TestPipelineAgainstDDReference(t *testing.T) {
 }
 
 func TestDeterministicAcrossSchedules(t *testing.T) {
-	// Kernel-parallel and sequential runs of the same schedule must
-	// produce bitwise-identical results: parallelism never reorders
-	// any accumulation in this design.
+	// One worker runs serially; two fan each level-2 node's products out
+	// as tasks over serial kernels; eight exceed winograd's R=7, so they
+	// run without fan-out over kernels that get all eight. All must
+	// produce bitwise-identical results: parallelism never reorders any
+	// accumulation in this design.
 	a, b := matrix.New(64, 64), matrix.New(64, 64)
 	a.FillUniform(matrix.Rand(1), -1, 1)
 	b.FillUniform(matrix.Rand(2), -1, 1)
-	c1 := core.Multiply(algos.Winograd(), a, b, core.Options{Levels: 2, Workers: 1})
-	c2 := core.Multiply(algos.Winograd(), a, b, core.Options{Levels: 2, Workers: 8})
-	if !matrix.Equal(c1, c2) {
-		t.Fatal("worker count changed the bitwise result")
-	}
-	c3 := core.Multiply(algos.Winograd(), a, b, core.Options{Levels: 2, Workers: 8, TaskParallel: true})
-	if !matrix.Equal(c1, c3) {
-		t.Fatal("task parallelism changed the bitwise result")
+	for _, levels := range []int{2, 3} {
+		want := core.Multiply(algos.Winograd(), a, b, core.Options{Levels: levels, Workers: 1})
+		for _, w := range []int{2, 8} {
+			got := core.Multiply(algos.Winograd(), a, b, core.Options{Levels: levels, Workers: w})
+			if !matrix.Equal(want, got) {
+				t.Errorf("levels=%d: workers=%d changed the bitwise result", levels, w)
+			}
+		}
 	}
 }

@@ -133,8 +133,7 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 		workers: w,
 		tuned:   opt.tuned,
 		bopt: bilinear.Options{
-			Workers: w, TaskParallel: opt.TaskParallel, Direct: opt.Direct,
-			Recorder: opt.Recorder, Kernel: opt.Kernel, NoFuse: opt.NoFuse,
+			Workers: w, Recorder: opt.Recorder, Kernel: opt.Kernel, NoFuse: opt.NoFuse,
 		},
 		kb:  opt.Kernel,
 		rec: opt.Recorder,
@@ -207,12 +206,10 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 // registry is attached, claims its telemetry slot. Runs once at compile
 // time, after compileInfo (the slot stores the flop accountings).
 func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
+	// The schedule segment reports the parallel form the engine picked.
 	sched := "seq"
-	if p.bopt.TaskParallel {
+	if p.eng.FansOut() {
 		sched = "task"
-	}
-	if p.bopt.Direct {
-		sched += "-direct"
 	}
 	id := obs.PlanID{
 		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
@@ -276,7 +273,8 @@ func (p *Plan) PanelWorkspaceBytes() int64 { return p.panelBytes }
 
 // Desc returns the plan's identity string "alg/L<levels>/<schedule>" —
 // the form the serving layer echoes as the X-Abmm-Plan response header
-// and the per-plan /metrics label.
+// and the per-plan /metrics label. The schedule segment is "task" when
+// the plan's engine fans out (bilinear.Engine.FansOut), else "seq".
 func (p *Plan) Desc() string { return p.desc }
 
 // ErrorBound returns the plan's precompiled forward error bound factor:

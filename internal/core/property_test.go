@@ -12,8 +12,9 @@ import (
 )
 
 // TestAllCatalogAlgorithmsAgreeProperty multiplies random problems with
-// every catalog algorithm and every engine mode, asserting agreement
-// with the classical kernel within the theoretical bound scale.
+// every catalog algorithm at levels 0–3 and 1, 2 or 4 workers (with and
+// without task fan-out), asserting agreement with the classical kernel
+// within the theoretical bound scale.
 func TestAllCatalogAlgorithmsAgreeProperty(t *testing.T) {
 	catalog := []*algos.Algorithm{
 		algos.Strassen(), algos.Winograd(), algos.AltWinograd(), algos.Ours(),
@@ -24,12 +25,11 @@ func TestAllCatalogAlgorithmsAgreeProperty(t *testing.T) {
 		m := int(seed/8%40) + 1
 		k := int(seed/320%40) + 1
 		n := int(seed/12800%40) + 1
-		levels := int(seed % 3)
+		levels := int(seed / 3 % 4)
 		a, b := matrix.New(m, k), matrix.New(k, n)
 		a.FillUniform(matrix.Rand(seed), -1, 1)
 		b.FillUniform(matrix.Rand(seed+1), -1, 1)
-		opt := core.Options{Levels: levels, Workers: int(seed%2) + 1,
-			Direct: seed%5 == 0, TaskParallel: seed%7 == 0}
+		opt := core.Options{Levels: levels, Workers: []int{1, 2, 4}[seed%3]}
 		got := core.Multiply(alg, a, b, opt)
 		want := matrix.New(m, n)
 		matrix.Mul(want, a, b, 2)

@@ -168,7 +168,7 @@ func TableIII(simulate bool) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper constants: strassen 50.21, winograd 28.05, KS 23.37, SV/ours 18.82 (pebbling-optimized schedule)",
-		"simulator: direct-schedule engine trace, classical baseline "+fmt.Sprintf("%d", comm.TraceClassical(256, comm.NewCache(16*1024, 8)))+" words",
+		"simulator: direct-schedule recursion trace (Algorithm 1 model, not the engine), classical baseline "+fmt.Sprintf("%d", comm.TraceClassical(256, comm.NewCache(16*1024, 8)))+" words",
 	)
 	return t
 }

@@ -144,7 +144,7 @@ func WriteMetrics(w io.Writer, c *Collector) {
 		fmt.Fprintf(w, "abmm_phase_seconds_total{phase=%q} %s\n", p.Name, fnum(p.Seconds))
 	}
 
-	fmt.Fprintf(w, "# HELP abmm_tasks_total Recursive products dispatched by the task-parallel engine.\n# TYPE abmm_tasks_total counter\n")
+	fmt.Fprintf(w, "# HELP abmm_tasks_total Recursive products dispatched at fanned-out engine levels.\n# TYPE abmm_tasks_total counter\n")
 	fmt.Fprintf(w, "abmm_tasks_total{kind=\"spawned\"} %s\n", fnum(float64(s.TasksSpawned)))
 	fmt.Fprintf(w, "abmm_tasks_total{kind=\"inline\"} %s\n", fnum(float64(s.TasksInline)))
 

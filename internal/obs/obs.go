@@ -124,8 +124,8 @@ type ArenaUsage struct {
 
 // Recorder receives execution events from the multiply pipeline. All
 // methods must be safe for concurrent use: a shared Multiplier executes
-// plans from many goroutines, and the task-parallel engine calls
-// TaskSpawn from worker goroutines. A nil Recorder disables recording;
+// plans from many goroutines, and an engine that fans its products
+// out as tasks calls TaskSpawn from worker goroutines. A nil Recorder disables recording;
 // implementations should also tolerate nil receivers so a typed-nil
 // *Collector stays a no-op.
 type Recorder interface {
@@ -133,8 +133,8 @@ type Recorder interface {
 	PhaseDone(p Phase, d time.Duration)
 	// MulDone reports one completed multiplication.
 	MulDone(info MulInfo, total time.Duration)
-	// TaskSpawn reports one recursive product dispatched by the
-	// task-parallel engine: spawned on a fresh goroutine (true) or run
+	// TaskSpawn reports one recursive product dispatched at a fanned-out
+	// level of the engine: spawned on a fresh goroutine (true) or run
 	// inline because the limiter was saturated or it was the trailing
 	// product (false).
 	TaskSpawn(spawned bool)

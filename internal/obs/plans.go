@@ -301,8 +301,9 @@ type PlanStats struct {
 	Shape  string `json:"shape"`
 	Alg    string `json:"alg"`
 	Levels int    `json:"levels"`
-	// Schedule is the engine schedule ("seq", "task", optionally with a
-	// "-direct" suffix); Kernel the base-case blocking "mcxkcxnc".
+	// Schedule is the parallel form the plan's engine picked ("task"
+	// when it fans products out as tasks, else "seq"); Kernel the
+	// base-case blocking "mcxkcxnc".
 	Schedule string `json:"schedule"`
 	Kernel   string `json:"kernel"`
 	// Tuned reports whether the plan's configuration came from a tuner

@@ -69,7 +69,7 @@ func (globalAlloc) PutMat(m *matrix.Matrix) { Put(m.Data) }
 // keeps free lists of every buffer, header, and pointer slice it has
 // handed out, so after the first (warming) execution of a fixed-shape
 // plan, repeated executions allocate nothing. An Arena is safe for
-// concurrent use (task-parallel schedules allocate from the tasks), but
+// concurrent use (an engine that fans out allocates from its tasks), but
 // it is designed to be owned by one execution at a time and pooled
 // across executions by core.Plan.
 type Arena struct {

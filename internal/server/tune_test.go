@@ -21,7 +21,7 @@ import (
 func TestTunedPlanHeaderDebugPlansAndMetrics(t *testing.T) {
 	tn := tune.New(tune.Config{})
 	tn.Install(&tune.Profile{Schema: tune.Schema, Cells: []tune.Entry{
-		{M: 16, K: 16, N: 16, Alg: "strassen", Levels: 1, Schedule: "seq"},
+		{M: 16, K: 16, N: 16, Alg: "strassen", Levels: 1},
 	}})
 	s := newTestServer(t, Config{Workers: 1, Tuner: tn})
 	ts := httptest.NewServer(s.Handler())

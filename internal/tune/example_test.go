@@ -15,7 +15,7 @@ import (
 func ExampleTuner() {
 	tn := tune.New(tune.Config{}) // zero config: profile-only, no online measurement
 	tn.Install(&tune.Profile{Schema: tune.Schema, Cells: []tune.Entry{
-		{M: 64, K: 64, N: 64, Alg: "strassen", Levels: 1, Schedule: "seq"},
+		{M: 64, K: 64, N: 64, Alg: "strassen", Levels: 1},
 	}})
 
 	mu := core.New(algos.Ours(), core.Options{Levels: core.AutoLevels, Workers: 1, Tuner: tn})
@@ -31,7 +31,7 @@ func ExampleTuner() {
 // after a decode, so saved profiles diff cleanly.
 func Example_profileRoundTrip() {
 	p := &tune.Profile{Schema: tune.Schema, Cells: []tune.Entry{
-		{M: 1536, K: 512, N: 1536, Alg: "ours", Levels: 2, Schedule: "seq",
+		{M: 1536, K: 512, N: 1536, Alg: "ours", Levels: 2,
 			NsPerOp: 90_000_000, GFLOPS: 26.8, DefaultPlan: "ours/L0/seq", DefaultNsPerOp: 110_000_000, BoundFactor: 3.1e6},
 	}}
 	data, _ := p.Encode()
@@ -42,7 +42,7 @@ func Example_profileRoundTrip() {
 	// Output:
 	// byte-stable: true
 	// {
-	//   "schema": 1,
+	//   "schema": 2,
 	//   "cells": [
 	//     {
 	//       "m": 1536,
@@ -50,7 +50,6 @@ func Example_profileRoundTrip() {
 	//       "n": 1536,
 	//       "alg": "ours",
 	//       "levels": 2,
-	//       "schedule": "seq",
 	//       "ns_per_op": 90000000,
 	//       "classical_gflops": 26.8,
 	//       "default_plan": "ours/L0/seq",

@@ -26,8 +26,10 @@ import (
 
 // Schema is the profile format version this package reads and writes.
 // Decode rejects any other value: a version-skewed profile is treated
-// by the serving layer as a cache miss, never silently misread.
-const Schema = 1
+// by the serving layer as a cache miss, never silently misread. Schema
+// 2 dropped the per-cell engine schedule, which the engine now derives
+// from workers and levels; a schema-1 profile is served untuned.
+const Schema = 2
 
 // maxLevels bounds the recursion depth a decoded profile may request;
 // deeper than this is certainly corruption (4^20 blocks overflows any
@@ -43,12 +45,10 @@ type Entry struct {
 	N int `json:"n"`
 
 	// The winning tuple: catalog algorithm name (abmm.Lookup), recursion
-	// depth, engine schedule ("seq", "task", optionally "-direct"
-	// suffixed), and worker count (0 = GOMAXPROCS).
-	Alg      string `json:"alg"`
-	Levels   int    `json:"levels"`
-	Schedule string `json:"schedule"`
-	Workers  int    `json:"workers,omitempty"`
+	// depth, and worker count (0 = GOMAXPROCS).
+	Alg     string `json:"alg"`
+	Levels  int    `json:"levels"`
+	Workers int    `json:"workers,omitempty"`
 
 	// Measurements: best-of-reps wall time per multiplication and the
 	// classical-flop rate 2mkn/ns for the winner, plus the same
@@ -129,10 +129,10 @@ func (p *Profile) Lookup(m, k, n int) (Entry, bool) {
 }
 
 // Decode parses and validates a tuning profile. It is strict: schema
-// skew, malformed JSON, nonsensical shapes or depths, unknown
-// schedules, and duplicate cells are all errors. Callers on the serve
-// path treat any error as "no profile" (see Tuner.LoadFile) — a bad
-// file must never break serving, only leave it untuned.
+// skew, malformed JSON, nonsensical shapes or depths, and duplicate
+// cells are all errors. Callers on the serve path treat any error as
+// "no profile" (see Tuner.LoadFile) — a bad file must never break
+// serving, only leave it untuned.
 func Decode(data []byte) (*Profile, error) {
 	var p Profile
 	if err := json.Unmarshal(data, &p); err != nil {
@@ -151,9 +151,6 @@ func Decode(data []byte) (*Profile, error) {
 		}
 		if e.Alg == "" {
 			return nil, fmt.Errorf("tune: cell %d: empty algorithm name", i)
-		}
-		if _, _, err := parseSchedule(e.Schedule); err != nil {
-			return nil, fmt.Errorf("tune: cell %d: %w", i, err)
 		}
 		if e.Workers < 0 {
 			return nil, fmt.Errorf("tune: cell %d: negative workers %d", i, e.Workers)
@@ -213,32 +210,4 @@ func (p *Profile) WriteFile(path string) error {
 		return fmt.Errorf("tune: %w", err)
 	}
 	return nil
-}
-
-// parseSchedule maps an Entry.Schedule string onto the engine's
-// (TaskParallel, Direct) pair; the strings match obs.PlanID.Schedule.
-func parseSchedule(s string) (task, direct bool, err error) {
-	switch s {
-	case "seq":
-		return false, false, nil
-	case "task":
-		return true, false, nil
-	case "seq-direct":
-		return false, true, nil
-	case "task-direct":
-		return true, true, nil
-	}
-	return false, false, fmt.Errorf("tune: unknown schedule %q", s)
-}
-
-// scheduleName is parseSchedule's inverse.
-func scheduleName(task, direct bool) string {
-	s := "seq"
-	if task {
-		s = "task"
-	}
-	if direct {
-		s += "-direct"
-	}
-	return s
 }

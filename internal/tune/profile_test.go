@@ -15,9 +15,9 @@ func sampleProfile() *Profile {
 		GitSHA: "deadbeef", GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 1,
 		Cells: []Entry{
 			// Deliberately unsorted: Encode must canonicalize the order.
-			{M: 1536, K: 512, N: 1536, Alg: "ours", Levels: 2, Schedule: "seq",
+			{M: 1536, K: 512, N: 1536, Alg: "ours", Levels: 2,
 				NsPerOp: 90_000_000, GFLOPS: 26.8, DefaultPlan: "ours/L0/seq", DefaultNsPerOp: 110_000_000, BoundFactor: 3.1e6},
-			{M: 768, K: 768, N: 3072, Alg: "laderman-alt", Levels: 1, Schedule: "seq",
+			{M: 768, K: 768, N: 3072, Alg: "laderman-alt", Levels: 1,
 				NsPerOp: 150_000_000, GFLOPS: 24.2, DefaultPlan: "ours/L0/seq", DefaultNsPerOp: 180_000_000, BoundFactor: 8.8e6},
 		},
 	}
@@ -77,21 +77,21 @@ func TestDecodeRejects(t *testing.T) {
 	cases := []struct {
 		name, json, wantErr string
 	}{
-		{"malformed JSON", `{"schema": 1, "cells": [`, "decoding profile"},
-		{"truncated", `{"schema": 1, "ce`, "decoding profile"},
+		{"malformed JSON", `{"schema": 2, "cells": [`, "decoding profile"},
+		{"truncated", `{"schema": 2, "ce`, "decoding profile"},
 		{"empty", ``, "decoding profile"},
-		{"schema skew", `{"schema": 2, "cells": []}`, "schema 2"},
+		// A schema-1 profile, whose cells still name an engine schedule.
+		{"schema skew", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq"}]}`, "schema 1"},
 		{"schema missing", `{"cells": []}`, "schema 0"},
-		{"zero shape", `{"schema": 1, "cells": [{"m":0,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq"}]}`, "invalid shape"},
-		{"negative levels", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":-1,"schedule":"seq"}]}`, "invalid levels"},
-		{"absurd levels", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":21,"schedule":"seq"}]}`, "invalid levels"},
-		{"empty alg", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"","levels":0,"schedule":"seq"}]}`, "empty algorithm"},
-		{"unknown schedule", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"turbo"}]}`, "unknown schedule"},
-		{"negative workers", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq","workers":-1}]}`, "negative workers"},
-		{"negative measurement", `{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq","ns_per_op":-5}]}`, "negative measurement"},
-		{"duplicate cell", `{"schema": 1, "cells": [
-			{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq"},
-			{"m":8,"k":8,"n":8,"alg":"strassen","levels":1,"schedule":"seq"}]}`, "duplicate cell"},
+		{"zero shape", `{"schema": 2, "cells": [{"m":0,"k":8,"n":8,"alg":"ours","levels":0}]}`, "invalid shape"},
+		{"negative levels", `{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":-1}]}`, "invalid levels"},
+		{"absurd levels", `{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":21}]}`, "invalid levels"},
+		{"empty alg", `{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"","levels":0}]}`, "empty algorithm"},
+		{"negative workers", `{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"workers":-1}]}`, "negative workers"},
+		{"negative measurement", `{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"ns_per_op":-5}]}`, "negative measurement"},
+		{"duplicate cell", `{"schema": 2, "cells": [
+			{"m":8,"k":8,"n":8,"alg":"ours","levels":0},
+			{"m":8,"k":8,"n":8,"alg":"strassen","levels":1}]}`, "duplicate cell"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,8 +115,8 @@ func TestDecodeRejects(t *testing.T) {
 func TestLoadFileBadProfileLeavesTunerServing(t *testing.T) {
 	dir := t.TempDir()
 	bad := map[string]string{
-		"corrupt.json":   `{"schema": 1, "cells": [{]}`,
-		"truncated.json": `{"schema": 1, "cells": [{"m": 1536,`,
+		"corrupt.json":   `{"schema": 2, "cells": [{]}`,
+		"truncated.json": `{"schema": 2, "cells": [{"m": 1536,`,
 		"skewed.json":    `{"schema": 99, "cells": []}`,
 	}
 	for name, body := range bad {
@@ -159,10 +159,10 @@ func FuzzProfileDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(canonical)
-	f.Add([]byte(`{"schema": 1, "cells": []}`))
 	f.Add([]byte(`{"schema": 2, "cells": []}`))
-	f.Add([]byte(`{"schema": 1, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0,"schedule":"seq"}]}`))
-	f.Add([]byte(`{"schema": 1, "cells" [`))
+	f.Add([]byte(`{"schema": 1, "cells": []}`))
+	f.Add([]byte(`{"schema": 2, "cells": [{"m":8,"k":8,"n":8,"alg":"ours","levels":0}]}`))
+	f.Add([]byte(`{"schema": 2, "cells" [`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
@@ -201,20 +201,5 @@ func TestGainPercent(t *testing.T) {
 		if got := tc.e.GainPercent(); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("GainPercent(%+v) = %g, want %g", tc.e, got, tc.want)
 		}
-	}
-}
-
-func TestScheduleNames(t *testing.T) {
-	for _, s := range []string{"seq", "task", "seq-direct", "task-direct"} {
-		task, direct, err := parseSchedule(s)
-		if err != nil {
-			t.Fatalf("parseSchedule(%q): %v", s, err)
-		}
-		if back := scheduleName(task, direct); back != s {
-			t.Errorf("scheduleName(parseSchedule(%q)) = %q", s, back)
-		}
-	}
-	if _, _, err := parseSchedule("turbo"); err == nil {
-		t.Error("parseSchedule accepted an unknown schedule")
 	}
 }

@@ -1,8 +1,8 @@
 // Package tune implements shape-aware autotuned plan selection: given
 // an operand shape, it enumerates candidate (algorithm, levels,
-// schedule, workers) tuples from the catalog, prunes those whose
-// padding waste or Theorem III.8 error bound disqualify them before any
-// timing, measures the survivors with the same
+// workers) tuples from the catalog, prunes those whose padding waste
+// or Theorem III.8 error bound disqualify them before any timing,
+// measures the survivors with the same
 // warmup/best-of-repetitions discipline as the benchmark harness, and
 // pins the winner.
 //
@@ -77,13 +77,10 @@ type Config struct {
 	// Reps is the number of timed repetitions per candidate
 	// (best-of-reps, after one warmup); 0 selects 3.
 	Reps int
-	// Schedules names the engine schedules to enumerate ("seq", "task",
-	// "seq-direct", "task-direct"); nil selects just "seq" — on a
-	// single-core process the task schedule only adds overhead, and
-	// multi-core operators can opt in.
-	Schedules []string
-	// Workers lists the worker counts to enumerate per schedule; nil
-	// selects just 0 (GOMAXPROCS).
+	// Workers lists the worker counts to enumerate; nil selects just 0
+	// (GOMAXPROCS). The engine derives its schedule from the workers and
+	// levels of each candidate (bilinear.NewEngine), so there is no
+	// schedule axis to search.
 	Workers []int
 	// Logger receives tuning decisions and truncation warnings; nil
 	// discards them.
@@ -113,9 +110,6 @@ func (c Config) withDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 3
 	}
-	if c.Schedules == nil {
-		c.Schedules = []string{"seq"}
-	}
 	if c.Workers == nil {
 		c.Workers = []int{0}
 	}
@@ -125,14 +119,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Candidate is one enumerated (algorithm, levels, schedule, workers)
-// tuple, annotated with the pruning inputs that let it survive.
+// Candidate is one enumerated (algorithm, levels, workers) tuple,
+// annotated with the pruning inputs that let it survive.
 type Candidate struct {
-	Alg          *algos.Algorithm
-	Levels       int
-	TaskParallel bool
-	Direct       bool
-	Workers      int
+	Alg     *algos.Algorithm
+	Levels  int
+	Workers int
 
 	// PadRatio is padded volume over operand volume; BoundFactor the
 	// Theorem III.8 factor f(K,L) at the padded inner dimension.
@@ -140,9 +132,9 @@ type Candidate struct {
 	BoundFactor float64
 }
 
-// String renders the candidate the way plan identities do.
+// String renders the candidate as "alg/L<levels>".
 func (c Candidate) String() string {
-	return fmt.Sprintf("%s/L%d/%s", c.Alg.Name, c.Levels, scheduleName(c.TaskParallel, c.Direct))
+	return fmt.Sprintf("%s/L%d", c.Alg.Name, c.Levels)
 }
 
 // Tuner selects plan configurations per shape. It is safe for
@@ -265,7 +257,7 @@ func (t *Tuner) Choose(def *algos.Algorithm, opt core.Options, m, k, n int) (cor
 
 // choice resolves an entry into a core.TunedChoice; false when the
 // entry names an algorithm this build's catalog lacks (profile from a
-// different build) or an unknown schedule.
+// different build).
 func (t *Tuner) choice(e Entry) (core.TunedChoice, bool) {
 	alg, err := abmm.Lookup(e.Alg)
 	if err != nil {
@@ -273,15 +265,7 @@ func (t *Tuner) choice(e Entry) (core.TunedChoice, bool) {
 			"alg", e.Alg, "shape", fmt.Sprintf("%dx%dx%d", e.M, e.K, e.N))
 		return core.TunedChoice{}, false
 	}
-	task, direct, err := parseSchedule(e.Schedule)
-	if err != nil {
-		return core.TunedChoice{}, false
-	}
-	return core.TunedChoice{
-		Alg: alg, Levels: e.Levels,
-		TaskParallel: task, Direct: direct,
-		Workers: e.Workers,
-	}, true
+	return core.TunedChoice{Alg: alg, Levels: e.Levels, Workers: e.Workers}, true
 }
 
 // Candidates enumerates the tuples the tuner would measure for an
@@ -295,18 +279,11 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 	// kernel), so it is emitted once, under the default algorithm's
 	// name, and exempt from the accuracy constraint: it defines the
 	// classical reference the constraint compares against.
-	for _, sched := range t.cfg.Schedules {
-		task, direct, err := parseSchedule(sched)
-		if err != nil {
-			t.cfg.Logger.Warn("tune: skipping unknown schedule", "schedule", sched)
-			continue
-		}
-		for _, w := range t.cfg.Workers {
-			out = append(out, Candidate{
-				Alg: def, Levels: 0, TaskParallel: task, Direct: direct, Workers: w,
-				PadRatio: 1, BoundFactor: float64(k) * float64(k),
-			})
-		}
+	for _, w := range t.cfg.Workers {
+		out = append(out, Candidate{
+			Alg: def, Levels: 0, Workers: w,
+			PadRatio: 1, BoundFactor: float64(k) * float64(k),
+		})
 	}
 	vol := float64(m) * float64(k) * float64(n)
 	for _, name := range t.cfg.Algorithms {
@@ -332,17 +309,11 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 				t.pruned.Add(1)
 				continue
 			}
-			for _, sched := range t.cfg.Schedules {
-				task, direct, err := parseSchedule(sched)
-				if err != nil {
-					continue
-				}
-				for _, w := range t.cfg.Workers {
-					out = append(out, Candidate{
-						Alg: alg, Levels: l, TaskParallel: task, Direct: direct, Workers: w,
-						PadRatio: padRatio, BoundFactor: bound,
-					})
-				}
+			for _, w := range t.cfg.Workers {
+				out = append(out, Candidate{
+					Alg: alg, Levels: l, Workers: w,
+					PadRatio: padRatio, BoundFactor: bound,
+				})
 			}
 		}
 	}
@@ -351,7 +322,7 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 
 // Tune measures the candidates for one shape and returns the winning
 // entry. def and opt are the multiplier's defaults: the default
-// configuration (def at automatic levels under opt's schedule) is
+// configuration (def at automatic levels under opt's workers) is
 // always measured first and is the baseline the entry's
 // DefaultNsPerOp/DefaultPlan record — the winner may well *be* that
 // default, in which case the entry simply pins it. budget bounds total
@@ -380,7 +351,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 	// accuracy samples (and must not re-enter the tuner).
 	base := core.Options{
 		MinBase: opt.MinBase, Workers: opt.Workers,
-		TaskParallel: opt.TaskParallel, Direct: opt.Direct,
 		Kernel: opt.Kernel, NoFuse: opt.NoFuse,
 	}
 
@@ -397,7 +367,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 	best := Entry{
 		M: m, K: k, N: n,
 		Alg: def.Name, Levels: defPlan.Levels(),
-		Schedule:    scheduleName(opt.TaskParallel, opt.Direct),
 		Workers:     opt.Workers,
 		NsPerOp:     defNs,
 		BoundFactor: stability.ErrorBoundKL(def, float64(k), defPlan.Levels()),
@@ -414,7 +383,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		}
 		copt := base
 		copt.Levels = c.Levels
-		copt.TaskParallel, copt.Direct = c.TaskParallel, c.Direct
 		if c.Workers > 0 {
 			copt.Workers = c.Workers
 		}
@@ -427,7 +395,6 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		}
 		if ns < best.NsPerOp {
 			best.Alg, best.Levels = c.Alg.Name, c.Levels
-			best.Schedule = scheduleName(c.TaskParallel, c.Direct)
 			best.Workers = c.Workers
 			best.NsPerOp = ns
 			best.BoundFactor = c.BoundFactor
@@ -438,7 +405,7 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 	best.DefaultNsPerOp = defNs
 	t.cfg.Logger.Info("tune: shape tuned",
 		"shape", fmt.Sprintf("%dx%dx%d", m, k, n),
-		"plan", fmt.Sprintf("%s/L%d/%s", best.Alg, best.Levels, best.Schedule),
+		"plan", fmt.Sprintf("%s/L%d", best.Alg, best.Levels),
 		"default", best.DefaultPlan,
 		"gain_percent", fmt.Sprintf("%.1f", best.GainPercent()))
 	return best, nil
@@ -474,9 +441,7 @@ func (t *Tuner) measure(mu *core.Multiplier, dst, a, b *matrix.Matrix, deadline 
 // sameAsDefault reports whether a candidate is exactly the baseline
 // configuration (already measured).
 func sameAsDefault(c Candidate, def *algos.Algorithm, defLevels int, opt core.Options) bool {
-	return c.Alg == def && c.Levels == defLevels &&
-		c.TaskParallel == opt.TaskParallel && c.Direct == opt.Direct &&
-		c.Workers == opt.Workers
+	return c.Alg == def && c.Levels == defLevels && c.Workers == opt.Workers
 }
 
 // WriteMetrics appends the abmm_tune_* metric family to a /metrics

@@ -42,7 +42,7 @@ func TestCandidatesEnumeration(t *testing.T) {
 	if len(recursive) != 1 || recursive[0].Levels != 1 {
 		t.Errorf("recursive candidates = %+v, want exactly ours/L1", recursive)
 	}
-	if got := recursive[0].String(); got != "ours/L1/seq" {
+	if got := recursive[0].String(); got != "ours/L1" {
 		t.Errorf("String() = %q", got)
 	}
 }
@@ -90,8 +90,8 @@ func TestCandidatesPruning(t *testing.T) {
 		t.Errorf("loose bound cap kept %d recursive candidates, want 2 (L1, L2)", kept)
 	}
 
-	// Unknown algorithm and schedule names are skipped, not fatal.
-	odd := New(Config{Algorithms: []string{"no-such-alg"}, Schedules: []string{"seq", "turbo"}})
+	// Unknown algorithm names are skipped, not fatal.
+	odd := New(Config{Algorithms: []string{"no-such-alg"}})
 	cands = odd.Candidates(ours, 256, 256, 256)
 	if len(cands) != 1 || cands[0].Levels != 0 {
 		t.Errorf("unknown names not skipped cleanly: %+v", cands)
@@ -104,13 +104,13 @@ func TestCandidatesPruning(t *testing.T) {
 func TestChooseFromProfile(t *testing.T) {
 	tn := New(Config{})
 	tn.Install(&Profile{Schema: Schema, Cells: []Entry{
-		{M: 96, K: 96, N: 96, Alg: "strassen", Levels: 1, Schedule: "task", Workers: 2},
+		{M: 96, K: 96, N: 96, Alg: "strassen", Levels: 1, Workers: 2},
 	}})
 	ch, ok := tn.Choose(algos.Ours(), coreOptions(), 96, 96, 96)
 	if !ok {
 		t.Fatal("Choose had no opinion despite an installed cell")
 	}
-	if ch.Alg == nil || ch.Alg.Name != "strassen" || ch.Levels != 1 || !ch.TaskParallel || ch.Direct || ch.Workers != 2 {
+	if ch.Alg == nil || ch.Alg.Name != "strassen" || ch.Levels != 1 || ch.Workers != 2 {
 		t.Errorf("choice = %+v", ch)
 	}
 	// A different shape is a miss (Budget 0 → no opinion).
@@ -138,7 +138,7 @@ func TestChooseFromProfile(t *testing.T) {
 func TestChooseUnknownAlgorithmFallsBack(t *testing.T) {
 	tn := New(Config{})
 	tn.Install(&Profile{Schema: Schema, Cells: []Entry{
-		{M: 64, K: 64, N: 64, Alg: "from-the-future", Levels: 1, Schedule: "seq"},
+		{M: 64, K: 64, N: 64, Alg: "from-the-future", Levels: 1},
 	}})
 	if _, ok := tn.Choose(algos.Ours(), coreOptions(), 64, 64, 64); ok {
 		t.Error("Choose resolved an algorithm the catalog lacks")
@@ -201,9 +201,6 @@ func TestTuneSmallShape(t *testing.T) {
 	}
 	if e.DefaultPlan == "" || e.Alg == "" || e.BoundFactor <= 0 {
 		t.Errorf("bookkeeping missing: %+v", e)
-	}
-	if _, _, err := parseSchedule(e.Schedule); err != nil {
-		t.Errorf("entry schedule %q invalid: %v", e.Schedule, err)
 	}
 	if _, err := tn.Tune(algos.Ours(), coreOptions(), 0, 48, 48, 0); err == nil {
 		t.Error("Tune accepted an invalid shape")

@@ -253,7 +253,7 @@ func TestMultiplyIntoZeroAllocTuned(t *testing.T) {
 	b.FillUniform(abmm.Rand(2), -1, 1)
 	tn := tune.New(tune.Config{})
 	tn.Install(&tune.Profile{Schema: tune.Schema, Cells: []tune.Entry{
-		{M: n, K: n, N: n, Alg: "ours", Levels: 2, Schedule: "seq"},
+		{M: n, K: n, N: n, Alg: "ours", Levels: 2},
 	}})
 	mu := abmm.NewMultiplier(alg, abmm.Options{Levels: abmm.AutoLevels, Workers: 1, Tuner: tn})
 	mu.MultiplyInto(dst, a, b)

@@ -43,11 +43,13 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkMultiplyInto' -benchmem .
 
 # Base-case kernel benchmarks: packed register-tiled kernel vs the
-# blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs).
-# The full trajectory version (durable JSON cells at 256/1024/4096) is
-# `make bench-json`; this is the quick in-place comparison.
+# blocked reference loop (ns/op, GFLOPS via -benchmem MB/s, allocs),
+# and the L1-resident micro-kernel alone (kc=256) on each path the host
+# supports (generic, avx2, avx512; GFLOP/s column). The full trajectory
+# version (durable JSON cells at 256/1024/4096) is `make bench-json`;
+# this is the quick in-place comparison.
 kernel-bench:
-	$(GO) test -run xxx -bench 'BenchmarkBaseCase' -benchmem ./internal/kernel/
+	$(GO) test -run xxx -bench 'BenchmarkBaseCase|BenchmarkMicroKernel' -benchmem ./internal/kernel/
 
 # Durable benchmark trajectory (cmd/bench): run the fixed matrix and
 # write the next BENCH_<k>.json, or re-run and diff against the newest

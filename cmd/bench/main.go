@@ -1,6 +1,7 @@
 // Command bench runs the fixed benchmark matrix (sizes × recursion
 // levels × worker counts) and writes a BENCH_<k>.json document —
-// git SHA, go version, GOMAXPROCS, and per-cell ns/op, classical
+// git SHA, go version, GOMAXPROCS, the packed kernel's micro-kernel
+// path (avx512, avx2 or generic), and per-cell ns/op, classical
 // GFLOPS, allocs/op, p99 latency, and sampled numerical error — so
 // the repository carries a durable, diffable performance trajectory.
 //
@@ -9,6 +10,7 @@
 //	bench                                  # run default matrix, write BENCH_<k>.json
 //	bench -quick -o /tmp/now.json          # seconds-scale smoke matrix
 //	bench -compare BENCH_0.json            # run, then exit 1 on regressions vs baseline
+//	                                       # (the header names both files' commits and kernel paths)
 //	bench -replay new.json -compare old.json  # diff two existing files, no benchmarking
 //
 // A second mode drives the shape autotuner (internal/tune) offline:
@@ -118,6 +120,7 @@ func main() {
 
 	var f *bench.File
 	var err error
+	label := *replay // the file the -compare header names for this side
 	if *replay != "" {
 		if f, err = bench.ReadFile(*replay); err != nil {
 			log.Fatal(err)
@@ -133,6 +136,7 @@ func main() {
 		if err := f.WriteFile(path); err != nil {
 			log.Fatal(err)
 		}
+		label = path
 		fmt.Fprintf(os.Stderr, "bench: wrote %s (%d cells, commit %s)\n", path, len(f.Cells), f.GitSHA)
 		for _, c := range f.Cells {
 			fmt.Printf("%-24s %12.0f ns/op %8.2f GFLOPS %6.1f allocs/op  p99 %.3gs  err %.3g (%.3gx bound)\n",
@@ -145,6 +149,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "bench: baseline %s (commit %s, kernel %s) vs %s (commit %s, kernel %s)\n",
+			*compare, base.GitSHA, pathOrUnknown(base.KernelPath), label, f.GitSHA, pathOrUnknown(f.KernelPath))
 		regs := bench.Compare(base, f, *threshold)
 		if len(regs) > 0 {
 			for _, r := range regs {
@@ -155,6 +161,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: no regressions vs %s (%d cells, threshold %.0f%%)\n",
 			*compare, len(base.Cells), *threshold*100)
 	}
+}
+
+// pathOrUnknown renders a BENCH file's kernel_path for the -compare
+// header; files written before the field existed carry none.
+func pathOrUnknown(p string) string {
+	if p == "" {
+		return "unrecorded"
+	}
+	return p
 }
 
 // runTune is the -tune mode: offline shape autotuning. For each shape

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"abmm"
+	"abmm/internal/kernel"
 )
 
 // Schema identifies the BENCH json layout; bump on incompatible
@@ -94,6 +95,10 @@ type File struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// KernelPath is the packed kernel's micro-kernel path
+	// (kernel.MicroPath: "avx512", "avx2" or "generic"); empty in files
+	// written before it was recorded.
+	KernelPath string `json:"kernel_path,omitempty"`
 	Reps       int    `json:"reps"`
 	Cells      []Cell `json:"cells"`
 }
@@ -115,6 +120,7 @@ func Run(cfg Config) (*File, error) {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		KernelPath: kernel.MicroPath(),
 		Reps:       cfg.Reps,
 	}
 	for _, n := range cfg.Sizes {

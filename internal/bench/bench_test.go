@@ -8,6 +8,8 @@ package bench
 import (
 	"path/filepath"
 	"testing"
+
+	"abmm/internal/kernel"
 )
 
 func tinyConfig() Config {
@@ -21,6 +23,9 @@ func TestRunTinyMatrix(t *testing.T) {
 	}
 	if f.Schema != Schema || f.GoVersion == "" || f.GOMAXPROCS < 1 {
 		t.Fatalf("environment stamp incomplete: %+v", f)
+	}
+	if f.KernelPath != kernel.MicroPath() {
+		t.Fatalf("kernel_path %q, want the running micro-kernel %q", f.KernelPath, kernel.MicroPath())
 	}
 	if len(f.Cells) != 1 {
 		t.Fatalf("1-cell config produced %d cells", len(f.Cells))
@@ -87,7 +92,7 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	f := &File{
 		Schema: Schema, GitSHA: "abc1234", GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64",
-		GOMAXPROCS: 8, Reps: 5,
+		GOMAXPROCS: 8, KernelPath: "avx512", Reps: 5,
 		Cells: []Cell{{Alg: "ours", N: 256, Levels: 2, Workers: 1,
 			NsPerOp: 1e6, GFLOPS: 33.5, AllocsPerOp: 0, P99Seconds: 1.2e-3,
 			MaxRelError: 3e-16, BoundRatio: 0.01}},
@@ -103,8 +108,21 @@ func TestFileRoundTrip(t *testing.T) {
 	if len(got.Cells) != 1 || got.Cells[0] != f.Cells[0] {
 		t.Fatalf("round trip mangled cells: %+v", got.Cells)
 	}
-	if got.GitSHA != f.GitSHA || got.GOMAXPROCS != f.GOMAXPROCS {
+	if got.GitSHA != f.GitSHA || got.GOMAXPROCS != f.GOMAXPROCS || got.KernelPath != f.KernelPath {
 		t.Fatalf("round trip mangled stamp: %+v", got)
+	}
+}
+
+// TestReadFileBeforeKernelPath pins that kernel_path is an added field,
+// not a schema change: the committed BENCH_1.json, written before the
+// field existed, still decodes, with an empty path.
+func TestReadFileBeforeKernelPath(t *testing.T) {
+	f, err := ReadFile(filepath.Join("..", "..", "BENCH_1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.KernelPath != "" || len(f.Cells) == 0 {
+		t.Fatalf("BENCH_1.json decoded as kernel_path %q with %d cells", f.KernelPath, len(f.Cells))
 	}
 }
 

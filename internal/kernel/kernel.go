@@ -1,9 +1,13 @@
 // Package kernel is the packed-panel classical base case of the
-// library: a cache-blocked (mc/kc/nc) GEMM with a register-tiled MR×NR
-// micro-kernel, in the BLIS mold. Operand blocks are copied into
-// contiguous micro-panels once per cache block and the unrolled
+// library: a cache-blocked (mc/kc/nc) GEMM with a register-tiled 4×8
+// (MR×NR) micro-kernel, in the BLIS mold. Operand blocks are copied
+// into contiguous micro-panels once per cache block and the unrolled
 // micro-kernel streams them with unit stride, which is what lifts the
-// base case past the strided blocked loop in internal/matrix.
+// base case past the strided blocked loop in internal/matrix. The
+// micro-kernel has three implementations — AVX-512 and AVX2 assembly
+// and a portable Go loop — and the package picks the widest one the
+// CPU and OS support once at init (MicroPath reports which); there is
+// no option to choose one, because all three produce the same bits.
 //
 // The package's defining feature is the fused contract: both operands
 // are given as lists of (coefficient, source) terms and the destination
@@ -42,10 +46,10 @@ type Blocking struct {
 }
 
 // DefaultBlocking returns the portable default parameters: kc sized so
-// one A micro-panel (MR×kc) plus one B micro-panel (kc×NR) sit in a
-// 32 KiB L1 with room to spare, mc so the packed A block stays within a
-// conservative 256 KiB L2 share, and nc so the packed B panel lives in
-// L2/L3 across the whole mc sweep.
+// one A micro-panel (MR×kc, 8 KiB at kc=256) plus one B micro-panel
+// (kc×NR, 16 KiB) sit in a 32 KiB L1, mc so the packed A block stays
+// within a conservative 256 KiB L2 share, and nc so the packed B panel
+// lives in L2/L3 across the whole mc sweep.
 func DefaultBlocking() Blocking { return Blocking{MC: 128, KC: 256, NC: 512} }
 
 // normalized fills zero fields from DefaultBlocking and rounds MC/NC up

@@ -10,7 +10,9 @@ import (
 // FuzzMulBitwiseEqualsNaive lets the fuzzer hunt for shape/blocking
 // combinations that break the kernel's headline contract: Mul must be
 // bitwise identical to the naive triple loop for every m×k×n, including
-// ragged edge tiles and blocking parameters smaller than one micro-tile.
+// ragged edge tiles and blocking parameters smaller than one micro-tile,
+// on every micro-kernel path the host supports (unsupported paths are
+// left out of the loop).
 func FuzzMulBitwiseEqualsNaive(f *testing.F) {
 	f.Add(uint16(1), uint16(1), uint16(1), uint16(0), uint16(0), uint16(0), uint64(1))
 	f.Add(uint16(7), uint16(11), uint16(13), uint16(8), uint16(4), uint16(8), uint64(2))
@@ -27,13 +29,21 @@ func FuzzMulBitwiseEqualsNaive(f *testing.F) {
 		b := matrix.New(K, N)
 		a.FillUniform(matrix.Rand(seed), -1, 1)
 		b.FillUniform(matrix.Rand(seed+1), -1, 1)
-		got := matrix.New(M, N)
-		Mul(got, a, b, bl, 1, pool.Global, nil)
 		want := matrix.New(M, N)
 		matrix.MulNaive(want, a, b)
-		if !matrix.Equal(got, want) {
-			t.Fatalf("m=%d k=%d n=%d bl=%+v: packed kernel differs from naive (max diff %g)",
-				M, K, N, bl, matrix.MaxAbsDiff(got, want))
+		prev := microPath
+		defer func() { microPath = prev }()
+		for _, p := range microPaths {
+			if !p.supported() {
+				continue
+			}
+			microPath = p
+			got := matrix.New(M, N)
+			Mul(got, a, b, bl, 1, pool.Global, nil)
+			if !matrix.Equal(got, want) {
+				t.Fatalf("%s m=%d k=%d n=%d bl=%+v: packed kernel differs from naive (max diff %g)",
+					p, M, K, N, bl, matrix.MaxAbsDiff(got, want))
+			}
 		}
 	})
 }

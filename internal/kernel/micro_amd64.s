@@ -1,91 +1,138 @@
-// AVX2 micro-kernel and CPU feature probes for the packed base case.
+// AVX-512 and AVX2 micro-kernels and CPU feature probes for the packed
+// base case.
 //
-// The 4×4 register tile maps one output row to one YMM accumulator
-// (four float64 columns per register). Each k step loads the four
-// packed B columns once, broadcasts the four packed A row elements,
-// and issues a separate VMULPD and VADDPD per row — deliberately NOT
-// VFMADD: the fused multiply-add rounds once where mul-then-add rounds
-// twice, and the kernel's contract is bitwise equality with the scalar
-// naive triple loop, which rounds twice. Per output element the adds
-// form one serial ascending-k chain, so each element's rounding
-// history is identical to the scalar kernel's.
+// Both kernels compute the same 4×8 register tile. The AVX-512 kernel
+// maps one output row to one ZMM accumulator (eight float64 columns per
+// register); the AVX2 kernel maps it to two YMM accumulators. Each k
+// step loads the eight packed B columns once, broadcasts the four
+// packed A row elements, and issues a separate multiply and add per
+// accumulator — deliberately NOT VFMADD: the fused multiply-add rounds
+// once where mul-then-add rounds twice, and the kernel's contract is
+// bitwise equality with the scalar naive triple loop, which rounds
+// twice. Per output element the adds form one serial ascending-k
+// chain, so each element's rounding history is identical to the scalar
+// kernel's.
+//
+// Register tile layout: acc is the row-major 4×8 tile, so row r starts
+// at byte 64·r. One k step reads 32 bytes of packed A (four rows) and
+// 64 bytes of packed B (eight columns).
 
 #include "textflag.h"
 
-// func microAVX2(ap, bp *float64, kc int, acc *[16]float64)
+// AVX512_STEP applies one k step: A at ao(SI), B at bo(DI). The four
+// products land in Z5–Z8 before the adds, so the multiplies issue back
+// to back and only the adds wait on the accumulator chains Z0–Z3.
+#define AVX512_STEP(ao, bo) \
+	VMOVUPD     bo(DI), Z4;         \
+	VMULPD.BCST ao(SI), Z4, Z5;     \
+	VMULPD.BCST ao+8(SI), Z4, Z6;   \
+	VMULPD.BCST ao+16(SI), Z4, Z7;  \
+	VMULPD.BCST ao+24(SI), Z4, Z8;  \
+	VADDPD      Z5, Z0, Z0;         \
+	VADDPD      Z6, Z1, Z1;         \
+	VADDPD      Z7, Z2, Z2;         \
+	VADDPD      Z8, Z3, Z3
+
+// func microAVX512(ap, bp *float64, kc int, acc *[32]float64)
+TEXT ·microAVX512(SB), NOSPLIT, $0-32
+	MOVQ ap+0(FP), SI
+	MOVQ bp+8(FP), DI
+	MOVQ kc+16(FP), CX
+	MOVQ acc+24(FP), DX
+
+	VMOVUPD (DX), Z0      // acc row 0
+	VMOVUPD 64(DX), Z1    // acc row 1
+	VMOVUPD 128(DX), Z2   // acc row 2
+	VMOVUPD 192(DX), Z3   // acc row 3
+
+	MOVQ CX, BX
+	ANDQ $1, BX           // BX = kc odd?
+	SHRQ $1, CX           // CX = kc/2 (pairs)
+	JZ   tail512
+
+pair512:
+	AVX512_STEP(0, 0)
+	AVX512_STEP(32, 64)
+	ADDQ $64, SI
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  pair512
+
+tail512:
+	TESTQ BX, BX
+	JZ    done512
+	AVX512_STEP(0, 0)
+
+done512:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VZEROUPPER
+	RET
+
+// AVX2_ROW multiplies the B row halves Y8/Y9 by the broadcast A element
+// at a(SI) and adds the products to the row's accumulators lo/hi, with
+// tmp and bc as scratch.
+#define AVX2_ROW(a, bc, tmp, lo, hi) \
+	VBROADCASTSD a(SI), bc;  \
+	VMULPD       Y8, bc, tmp; \
+	VMULPD       Y9, bc, bc;  \
+	VADDPD       tmp, lo, lo; \
+	VADDPD       bc, hi, hi
+
+// AVX2_STEP applies one k step: A at ao(SI), B at bo(DI).
+#define AVX2_STEP(ao, bo) \
+	VMOVUPD bo(DI), Y8;                  \
+	VMOVUPD bo+32(DI), Y9;               \
+	AVX2_ROW(ao, Y10, Y14, Y0, Y1);      \
+	AVX2_ROW(ao+8, Y11, Y15, Y2, Y3);    \
+	AVX2_ROW(ao+16, Y12, Y14, Y4, Y5);   \
+	AVX2_ROW(ao+24, Y13, Y15, Y6, Y7)
+
+// func microAVX2(ap, bp *float64, kc int, acc *[32]float64)
 TEXT ·microAVX2(SB), NOSPLIT, $0-32
 	MOVQ ap+0(FP), SI
 	MOVQ bp+8(FP), DI
 	MOVQ kc+16(FP), CX
 	MOVQ acc+24(FP), DX
 
-	VMOVUPD (DX), Y0      // acc row 0
-	VMOVUPD 32(DX), Y1    // acc row 1
-	VMOVUPD 64(DX), Y2    // acc row 2
-	VMOVUPD 96(DX), Y3    // acc row 3
+	VMOVUPD (DX), Y0      // acc row 0, columns 0–3
+	VMOVUPD 32(DX), Y1    // acc row 0, columns 4–7
+	VMOVUPD 64(DX), Y2    // acc row 1
+	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4   // acc row 2
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6   // acc row 3
+	VMOVUPD 224(DX), Y7
 
 	MOVQ CX, BX
 	ANDQ $1, BX           // BX = kc odd?
 	SHRQ $1, CX           // CX = kc/2 (pairs)
-	JZ   tail
+	JZ   tail2
 
-pair:
-	// k step 0
-	VMOVUPD (DI), Y4
-	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
-	VMULPD Y4, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VMULPD Y4, Y7, Y7
-	VMULPD Y4, Y8, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	// k step 1
-	VMOVUPD 32(DI), Y9
-	VBROADCASTSD 32(SI), Y10
-	VBROADCASTSD 40(SI), Y11
-	VBROADCASTSD 48(SI), Y12
-	VBROADCASTSD 56(SI), Y13
-	VMULPD Y9, Y10, Y10
-	VMULPD Y9, Y11, Y11
-	VMULPD Y9, Y12, Y12
-	VMULPD Y9, Y13, Y13
-	VADDPD Y10, Y0, Y0
-	VADDPD Y11, Y1, Y1
-	VADDPD Y12, Y2, Y2
-	VADDPD Y13, Y3, Y3
-
+pair2:
+	AVX2_STEP(0, 0)
+	AVX2_STEP(32, 64)
 	ADDQ $64, SI
-	ADDQ $64, DI
+	ADDQ $128, DI
 	DECQ CX
-	JNZ  pair
+	JNZ  pair2
 
-tail:
+tail2:
 	TESTQ BX, BX
-	JZ    done
-	VMOVUPD (DI), Y4
-	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
-	VMULPD Y4, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VMULPD Y4, Y7, Y7
-	VMULPD Y4, Y8, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
+	JZ    done2
+	AVX2_STEP(0, 0)
 
-done:
+done2:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
 	VZEROUPPER
 	RET
 

@@ -93,9 +93,14 @@ func histBucketBounds(i int) (lo, hi float64) {
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram. Like the
-// Collector's Snapshot it is read field-by-field, so a snapshot taken
-// while observations are in flight may be off by a fraction of one
-// observation.
+// Collector's Snapshot it is read field-by-field. Snapshot loads the
+// buckets before Count, and Observe adds to count before its bucket,
+// so every observation a bucket load sees is already in Count: with
+// observations in flight, Count may exceed the bucket total (by those
+// that finished during the bucket sweep), but the bucket total exceeds
+// Count by at most the observations a concurrent Reset split across
+// windows. Quantile falls back to Max when Count exceeds the bucket
+// total.
 type HistSnapshot struct {
 	Count   int64
 	Sum     int64
@@ -110,19 +115,22 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
+	// Buckets first, then count: see HistSnapshot.
 	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
+	s.Count = h.count.Load()
+	s.Sum = h.sum.Load()
+	s.Max = h.max.Load()
 	return s
 }
 
 // Quantile estimates the q-quantile (0 < q ≤ 1) from the bucket
 // counts: it finds the bucket holding the q·Count-th observation and
 // interpolates linearly within it, clamping to the observed maximum.
-// An empty snapshot reports 0.
+// When the rank lies past the bucket total (a snapshot whose Count ran
+// ahead of its buckets, see HistSnapshot) it reports Max. An empty
+// snapshot reports 0.
 func (s *HistSnapshot) Quantile(q float64) float64 {
 	if s.Count <= 0 {
 		return 0

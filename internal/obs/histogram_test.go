@@ -74,6 +74,28 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestQuantileCountAheadOfBuckets pins the guard Snapshot's load
+// order relies on: a snapshot taken mid-Observe can count observations
+// its buckets do not hold yet, and a quantile whose rank falls past the
+// bucket total must report Max, not run off the bucket array or
+// interpolate past it.
+func TestQuantileCountAheadOfBuckets(t *testing.T) {
+	var s HistSnapshot
+	s.Count = 10
+	s.Sum = 40
+	s.Max = 7
+	s.Buckets[histBucket(2)] = 5 // five of the ten observations landed
+	if got := s.Quantile(0.99); got != 7 {
+		t.Errorf("Quantile(0.99) = %g, want Max 7", got)
+	}
+	if got := s.Quantile(1); got != 7 {
+		t.Errorf("Quantile(1) = %g, want Max 7", got)
+	}
+	if got := s.Quantile(0.3); got < 2 || got >= 3 {
+		t.Errorf("Quantile(0.3) = %g, want inside bucket [2, 3)", got)
+	}
+}
+
 func TestHistogramNilAndNegative(t *testing.T) {
 	var h *Histogram
 	h.Observe(5)

@@ -15,14 +15,15 @@ test:
 
 # Race-detector pass at small sizes: the shared-Multiplier concurrency
 # tests (including concurrent cancellation) plus the core/bilinear
-# engines that execute under it, the observability collector's
+# engines that execute under it, the distributed recursion (whose leaf
+# runs the engine from P goroutines), the observability collector's
 # concurrent span aggregation, the serving layer (admission gate,
 # coalescer, concurrent same-shape requests), and the analyzer suite's
 # own fixture tests (-short skips its slow repo-wide pass, which
 # `make lint` runs directly).
 race:
 	$(GO) test -race -short -run 'TestMultiplierConcurrent|TestMultiplyIntoPadded|TestMultiplierStats' .
-	$(GO) test -race -short ./internal/core/... ./internal/bilinear/... ./internal/basis/... ./internal/kernel/... ./internal/pool/... ./internal/obs/... ./internal/reqtrace/... ./internal/lint/... ./internal/server/... ./internal/tune/...
+	$(GO) test -race -short ./internal/core/... ./internal/bilinear/... ./internal/dist/... ./internal/basis/... ./internal/kernel/... ./internal/pool/... ./internal/obs/... ./internal/reqtrace/... ./internal/lint/... ./internal/server/... ./internal/tune/...
 
 vet:
 	$(GO) vet ./...

@@ -47,7 +47,6 @@ import (
 	"sync"
 
 	"abmm/internal/algos"
-	"abmm/internal/bilinear"
 	"abmm/internal/core"
 	"abmm/internal/dd"
 	"abmm/internal/matrix"
@@ -214,32 +213,31 @@ func Multiply(alg *Algorithm, a, b *Matrix, opt Options) *Matrix {
 	return core.Multiply(alg, a, b, opt)
 }
 
-// MultiplyClassical computes a·b with the cache-blocked parallel
-// classical kernel (the library's DGEMM stand-in).
+// MultiplyClassical computes a·b with the classical algorithm: a
+// level-0 plan, which is one call of the packed base-case kernel. Its
+// result is bitwise equal to the textbook triple loop, IEEE special
+// values included (0·Inf is NaN).
 func MultiplyClassical(a, b *Matrix, workers int) *Matrix {
-	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, workers)
-	return c
+	alg, _ := Lookup("classical")
+	return core.Multiply(alg, a, b, Options{Levels: 0, Workers: workers})
 }
 
 // MultiplyMixed computes a·b with a non-stationary recursion: a
 // different algorithm at each level, algs[0] outermost, recursing
-// len(algs) levels before the classical base case. All algorithms must
-// be standard-basis with identical base dimensions (the
+// len(algs) levels before the classical base case. It compiles one
+// mixed plan (see core.NewMixedPlan) and honours opt except Levels,
+// which the list fixes, and Tuner. All algorithms must be
+// standard-basis with identical base dimensions (the
 // Castrapel–Gustafson / D'Alberto technique does not readily extend to
-// alternative bases; see the paper's Section V).
+// alternative bases; see the paper's Section V); an empty list, an
+// alternative basis algorithm or disagreeing base dimensions return an
+// error. Like Multiply, it panics when a.Cols != b.Rows.
 func MultiplyMixed(algs []*Algorithm, a, b *Matrix, opt Options) (*Matrix, error) {
-	if len(algs) == 0 {
-		return nil, fmt.Errorf("abmm: MultiplyMixed needs at least one algorithm")
+	p, err := core.NewMixedPlan(algs, opt, a.Rows, a.Cols, b.Cols)
+	if err != nil {
+		return nil, err
 	}
-	specs := make([]*bilinear.Spec, len(algs))
-	for i, alg := range algs {
-		if alg.IsAltBasis() {
-			return nil, fmt.Errorf("abmm: MultiplyMixed: %s is an alternative basis algorithm", alg.Name)
-		}
-		specs[i] = alg.Spec
-	}
-	return bilinear.MultiplyMixed(specs, a, b, bilinear.Options{Workers: opt.Workers}), nil
+	return p.Multiply(a, b), nil
 }
 
 // ScalingMethod selects a diagonal scaling strategy for

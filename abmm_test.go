@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abmm"
+	"abmm/internal/matrix"
 )
 
 func TestLookupAndNames(t *testing.T) {
@@ -180,5 +181,42 @@ func TestMultiplyMixedPublic(t *testing.T) {
 	}
 	if _, err := abmm.MultiplyMixed(nil, a, b, abmm.Options{}); err == nil {
 		t.Fatal("empty algorithm list accepted")
+	}
+	laderman, _ := abmm.Lookup("laderman")
+	if _, err := abmm.MultiplyMixed([]*abmm.Algorithm{strassen, laderman}, a, b, abmm.Options{}); err == nil {
+		t.Fatal("algorithms with different base dims accepted")
+	}
+}
+
+// TestMultiplyClassicalBitwiseNaive: the classical product follows IEEE
+// rules exactly — bitwise equal to the textbook triple loop, with every
+// NaN matched by a NaN — on inputs holding 0·Inf, ±Inf, NaN and 1e308.
+func TestMultiplyClassicalBitwiseNaive(t *testing.T) {
+	inf := math.Inf(1)
+	a := abmm.FromRows([][]float64{
+		{0, 1, 1e308, 2},
+		{1, 1, -1, 0},
+		{math.NaN(), 0, 1, 1},
+		{0.5, -inf, 1e308, 3},
+		{1e308, 1e308, 0, -2},
+	})
+	b := abmm.FromRows([][]float64{
+		{inf, 1, 0, 2, -1},
+		{1, 1, 1e308, 0, inf},
+		{3, 0, 1, -inf, 1e308},
+		{0, 2, 1, 1, 0.25},
+	})
+	want := abmm.NewMatrix(a.Rows, b.Cols)
+	matrix.MulNaive(want, a, b)
+	for _, w := range []int{1, 2} {
+		got := abmm.MultiplyClassical(a, b, w)
+		for i := 0; i < want.Rows; i++ {
+			for j := 0; j < want.Cols; j++ {
+				g, x := got.At(i, j), want.At(i, j)
+				if math.Float64bits(g) != math.Float64bits(x) && !(math.IsNaN(g) && math.IsNaN(x)) {
+					t.Errorf("workers=%d C[%d,%d] = %g, naive %g", w, i, j, g, x)
+				}
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"abmm/internal/experiments"
 	"abmm/internal/matrix"
 	"abmm/internal/obs"
+	"abmm/internal/pool"
 	"abmm/internal/scaling"
 	"abmm/internal/stability"
 )
@@ -336,7 +337,7 @@ func BenchmarkAblationInPlaceTransform(b *testing.B) {
 		b.SetBytes(int64(rows) * 64 * 8)
 		for i := 0; i < b.N; i++ {
 			work := in.Clone()
-			if !phi.ApplyInPlace(work, levels, 0) {
+			if !phi.ApplyInPlace(work, levels, 0, pool.Global, nil) {
 				b.Fatal("in-place refused")
 			}
 		}

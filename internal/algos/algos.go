@@ -47,6 +47,17 @@ func (a *Algorithm) Dims() (m0, k0, n0, r int) {
 	return a.Spec.M0, a.Spec.K0, a.Spec.N0, a.Spec.R
 }
 
+// Repeat returns the per-level algorithm list of a uniform recursion:
+// l copies of alg, the form core plans, the bilinear engine and the
+// stability bounds take.
+func Repeat(alg *Algorithm, l int) []*Algorithm {
+	out := make([]*Algorithm, l)
+	for i := range out {
+		out[i] = alg
+	}
+	return out
+}
+
 // StandardUVW returns the standard-basis representation
 // ⟨φ·U_φ, ψ·V_ψ, ν·W_ν⟩ of the algorithm (Definition III.2), which
 // determines its stability vector and is the object the Brent

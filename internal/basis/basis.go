@@ -114,7 +114,7 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 	}
 	h := in.Rows / d1l
 	out := matrix.New(ipow(t.D2, level)*h, in.Cols)
-	t.ApplyInto(out, in, level, workers, pool.Global)
+	t.ApplyInto(out, in, level, workers, pool.Global, nil)
 	return out
 }
 
@@ -122,18 +122,13 @@ func (t *Transform) Apply(in *matrix.Matrix, level, workers int) *matrix.Matrix 
 // must have D₂^level base blocks of src's base shape and must not alias
 // src — the leaf level combines straight out of src while writing dst)
 // and drawing all scratch from al. dst may be dirty scratch; every
-// element is written.
+// element is written. cn is a cooperative cancellation token (nil for
+// none): the recursion polls it at every node boundary and abandons the
+// remaining subtree once it is set, leaving dst partially written.
+// Scratch accounting stays balanced.
+//
 //abmm:hotpath
-func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al pool.Allocator) {
-	t.ApplyIntoCancel(dst, src, level, workers, al, nil)
-}
-
-// ApplyIntoCancel is ApplyInto with a cooperative cancellation token:
-// the recursion polls cn at every node boundary and abandons the
-// remaining subtree once cn is set, leaving dst partially written.
-// Scratch accounting stays balanced. A nil cn makes this ApplyInto.
-//abmm:hotpath
-func (t *Transform) ApplyIntoCancel(dst, src *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
+func (t *Transform) ApplyInto(dst, src *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) {
 	d1l := ipow(t.D1, level)
 	if src.Rows%d1l != 0 {
 		panic(fmt.Sprintf("basis: %d rows not divisible by %d^%d", src.Rows, t.D1, level))

@@ -55,25 +55,16 @@ func (t *Transform) CanApplyInPlace() bool {
 
 // ApplyInPlace computes the recursive transform φ^level directly in the
 // operand's storage and reports whether it did; when it returns false
-// the operand is untouched and the caller must use Apply. The operand
-// layout is the same stacked form Apply expects.
-func (t *Transform) ApplyInPlace(v *matrix.Matrix, level, workers int) bool {
-	return t.ApplyInPlaceFrom(v, level, workers, pool.Global)
-}
-
-// ApplyInPlaceFrom is ApplyInPlace with the recursion's view headers
-// drawn from al, so warm-arena executions allocate nothing.
+// the operand is untouched and the caller must use Apply or ApplyInto.
+// The operand layout is the same stacked form Apply expects. The
+// recursion's view headers are drawn from al, so warm-arena executions
+// allocate nothing. cn is a cooperative cancellation token (nil for
+// none) polled at recursion-node boundaries; once it is set the
+// remaining subtree is abandoned and the operand is left partially
+// transformed.
+//
 //abmm:hotpath
-func (t *Transform) ApplyInPlaceFrom(v *matrix.Matrix, level, workers int, al pool.Allocator) bool {
-	return t.ApplyInPlaceFromCancel(v, level, workers, al, nil)
-}
-
-// ApplyInPlaceFromCancel is ApplyInPlaceFrom with a cooperative
-// cancellation token polled at recursion-node boundaries; once cn is
-// set the remaining subtree is abandoned and the operand is left
-// partially transformed. A nil cn makes this ApplyInPlaceFrom.
-//abmm:hotpath
-func (t *Transform) ApplyInPlaceFromCancel(v *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) bool {
+func (t *Transform) ApplyInPlace(v *matrix.Matrix, level, workers int, al pool.Allocator, cn *parallel.Cancel) bool {
 	if t.D1 != t.D2 {
 		return false
 	}

@@ -7,6 +7,7 @@ import (
 	"abmm/internal/basis"
 	"abmm/internal/exact"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
 func catalogTransforms(t *testing.T) []*basis.Transform {
@@ -32,7 +33,7 @@ func TestApplyInPlaceMatchesApply(t *testing.T) {
 			in.FillUniform(matrix.Rand(uint64(level+rows)), -1, 1)
 			want := tr.Apply(in, level, 2)
 			got := in.Clone()
-			if !tr.ApplyInPlace(got, level, 2) {
+			if !tr.ApplyInPlace(got, level, 2, pool.Global, nil) {
 				t.Fatalf("%s: ApplyInPlace refused", tr.Name)
 			}
 			if d := matrix.MaxAbsDiff(got, want); d > 1e-13 {
@@ -48,7 +49,7 @@ func TestApplyInPlaceRejectsRectangular(t *testing.T) {
 		t.Fatal("rectangular transform claims in-place support")
 	}
 	v := matrix.New(16, 4)
-	if tr.ApplyInPlace(v, 1, 1) {
+	if tr.ApplyInPlace(v, 1, 1, pool.Global, nil) {
 		t.Fatal("rectangular in-place applied")
 	}
 }
@@ -75,7 +76,7 @@ func TestApplyInPlaceWithSwapsAndScales(t *testing.T) {
 	in.FillUniform(matrix.Rand(3), -1, 1)
 	want := tr.Apply(in, 3, 1)
 	got := in.Clone()
-	tr.ApplyInPlace(got, 3, 1)
+	tr.ApplyInPlace(got, 3, 1, pool.Global, nil)
 	if d := matrix.MaxAbsDiff(got, want); d != 0 {
 		t.Fatalf("in-place perm/scale differs by %g", d)
 	}
@@ -86,7 +87,7 @@ func TestApplyInPlaceIdentityUntouched(t *testing.T) {
 	v := matrix.New(16, 3)
 	v.FillUniform(matrix.Rand(9), -1, 1)
 	orig := v.Clone()
-	if !tr.ApplyInPlace(v, 2, 1) {
+	if !tr.ApplyInPlace(v, 2, 1, pool.Global, nil) {
 		t.Fatal("identity not in-place compilable")
 	}
 	if !matrix.Equal(v, orig) {

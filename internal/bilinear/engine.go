@@ -36,25 +36,41 @@ type Options struct {
 
 func (o Options) workers() int { return parallel.Resolve(o.Workers) }
 
-// Exec multiplies two operands in stacked layout: a must be the
-// ToRecursive image (branching D_U, depth levels) of the left operand
-// possibly followed by a basis transformation, and b likewise with
-// branching D_V. It returns the stacked product with branching D_W,
-// which for a standard-basis spec is the ToRecursive image of C = A·B.
+// Exec multiplies two operands in stacked layout with levels uniform
+// recursion steps of s: a must be the ToRecursive image (branching D_U,
+// depth levels) of the left operand possibly followed by a basis
+// transformation, and b likewise with branching D_V. It returns the
+// stacked product with branching D_W, which for a standard-basis spec
+// is the ToRecursive image of C = A·B. It is the local leaf of the
+// distributed recursion (internal/dist); whole multiplications go
+// through core.Plan.
 func Exec(s *Spec, a, b *matrix.Matrix, levels int, opt Options) *matrix.Matrix {
-	e := NewEngine(s, opt, levels)
-	du, dw := ipow(s.DU(), levels), ipow(s.DW(), levels)
-	c := matrix.New(dw*(a.Rows/du), b.Cols)
-	e.ExecInto(c, a, b, pool.Global)
+	if levels < 0 {
+		panic("bilinear: negative recursion depth")
+	}
+	specs := make([]*Spec, levels)
+	for i := range specs {
+		specs[i] = s
+	}
+	e := NewEngine(specs, opt)
+	c := matrix.New(e.dw*(a.Rows/e.du), b.Cols)
+	e.ExecInto(c, a, b, pool.Global, nil)
 	return c
 }
 
-// Engine executes the recursive bilinear phase of one algorithm at one
-// recursion depth. An Engine is immutable after construction and safe
-// for concurrent ExecInto calls; core.Plan builds one per compiled plan
-// and reuses it for every execution of that shape.
+// Engine executes the recursive bilinear phase of a list of per-level
+// algorithms. An Engine is immutable after construction and safe for
+// concurrent ExecInto calls; core.Plan builds one per compiled plan and
+// reuses it for every execution of that shape.
 type Engine struct {
-	s *Spec
+	// specs holds one algorithm per recursion level, specs[0] at the
+	// top: a uniform recursion repeats one spec, a non-stationary one
+	// (Castrapel–Gustafson, D'Alberto) lists a different spec per level.
+	// Its length is the recursion depth.
+	specs []*Spec
+	// du, dv and dw are the branching of the stacked operands over all
+	// levels: the products of the per-level D_U, D_V and D_W.
+	du, dv, dw int
 	// workers is the resolved parallelism. The linear-phase programs of
 	// nodes at level 2 and above always get all of it: no task runs
 	// beside them. kernelWorkers is what the levels beneath get (the
@@ -64,12 +80,8 @@ type Engine struct {
 	// limiter bounds the tasks of a fanned-out engine (the products of
 	// its level-2 nodes); it is nil when the engine does not fan out.
 	limiter *parallel.Limiter
-	// mixed, when non-nil, selects a different spec per level
-	// (non-stationary recursion): mixed[0] at the top level.
-	mixed  []*Spec
-	levels int
-	cols   map[*Spec]*specCols
-	rec    obs.Recorder
+	cols    map[*Spec]*specCols
+	rec     obs.Recorder
 	// kb is the base-case kernel blocking; fuse selects the fused leaf
 	// step at level 1 (see fused.go).
 	kb   kernel.Blocking
@@ -86,16 +98,11 @@ type specCols struct {
 
 // specAt returns the algorithm for a recursion level (levels counts
 // down toward the base case at 0).
-func (e *Engine) specAt(level int) *Spec {
-	if e.mixed == nil {
-		return e.s
-	}
-	return e.mixed[e.levels-level]
-}
+func (e *Engine) specAt(level int) *Spec { return e.specs[len(e.specs)-level] }
 
 // register caches the encoding columns of a spec and compiles its
 // linear-phase programs. Registration happens only at construction
-// (newEngine), before the engine is shared; colsOf is the read-only
+// (NewEngine), before the engine is shared; colsOf is the read-only
 // execution-time lookup, so concurrent ExecInto calls never write
 // e.cols.
 func (e *Engine) register(s *Spec) {
@@ -117,10 +124,12 @@ func (e *Engine) colsOf(s *Spec) *specCols {
 	return c
 }
 
-// NewEngine compiles the execution state for running spec s at the
-// given depth: resolved workers, the parallel form, compiled
-// linear-phase programs, and the per-spec coefficient columns. The
-// returned Engine is reusable and concurrency-safe.
+// NewEngine compiles the execution state for running the per-level
+// algorithms specs (specs[0] at the top level, len(specs) recursion
+// steps): resolved workers, the parallel form, compiled linear-phase
+// programs, and the per-spec coefficient columns. The returned Engine
+// is reusable and concurrency-safe; it keeps specs, which the caller
+// must not modify afterwards.
 //
 // The parallel form follows from (workers, levels) and the rank R of the
 // level-2 algorithm alone. The engine fans out when there is more than
@@ -136,31 +145,23 @@ func (e *Engine) colsOf(s *Spec) *specCols {
 // every kernel gets all workers. EXPERIMENTS.md "Engine schedule
 // ablation" measures both forms. Either gives bitwise-equal results:
 // parallelism never reorders an accumulation.
-func NewEngine(s *Spec, opt Options, levels int) *Engine {
-	return newEngine(s, nil, opt, levels)
-}
-
-// newEngine builds an engine for spec s, or, when mixed is non-nil, for
-// the per-level specs mixed (mixed[0] at the top level; s == mixed[0]).
-func newEngine(s *Spec, mixed []*Spec, opt Options, levels int) *Engine {
-	if levels < 0 {
-		panic("bilinear: negative recursion depth")
-	}
+func NewEngine(specs []*Spec, opt Options) *Engine {
+	levels := len(specs)
 	w := opt.workers()
 	e := &Engine{
-		s: s, workers: w, kernelWorkers: w, mixed: mixed, levels: levels,
-		rec: opt.Recorder, kb: opt.Kernel, fuse: !opt.NoFuse,
+		specs: specs, du: 1, dv: 1, dw: 1, workers: w, kernelWorkers: w,
+		cols: make(map[*Spec]*specCols, 1),
+		rec:  opt.Recorder, kb: opt.Kernel, fuse: !opt.NoFuse,
 	}
 	e.regionNames = make([]string, levels+1)
 	for l := 1; l <= levels; l++ {
 		e.regionNames[l] = fmt.Sprintf("bilinear.L%d", l)
 	}
-	e.cols = make(map[*Spec]*specCols, 1)
-	e.register(s)
-	for _, m := range mixed {
+	for _, s := range specs {
+		e.du, e.dv, e.dw = e.du*s.DU(), e.dv*s.DV(), e.dw*s.DW()
 		// Register every spec's coefficient columns up front so colsOf
 		// stays read-only during (possibly fanned-out) execution.
-		e.register(m)
+		e.register(s)
 	}
 	if w > 1 && levels >= 2 && e.specAt(2).R >= w {
 		e.limiter = parallel.NewLimiter(4 * w)
@@ -205,33 +206,25 @@ func columns(m *matrix.Matrix) [][]float64 {
 // worker the call performs no heap allocation. c must be fully writable
 // scratch or output — its prior contents are ignored.
 //
-//abmm:hotpath
-func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator) {
-	e.ExecIntoCancel(c, a, b, al, nil)
-}
-
-// ExecIntoCancel is ExecInto with a cooperative cancellation token: the
-// recursion polls cn at every node boundary (one atomic load; no
-// per-element or per-leaf cost) and abandons the remaining subtree once
-// cn is set, leaving c in an unspecified state. Scratch accounting stays
-// balanced on the abandoned path, so the arena remains reusable. A nil
-// cn is valid and makes this identical to ExecInto.
+// cn is a cooperative cancellation token (nil for none): the recursion
+// polls it at every node boundary (one atomic load; no per-element or
+// per-leaf cost) and abandons the remaining subtree once it is set,
+// leaving c in an unspecified state. Scratch accounting stays balanced
+// on the abandoned path, so the arena remains reusable.
 //
 //abmm:hotpath
-func (e *Engine) ExecIntoCancel(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
-	s, levels := e.s, e.levels
-	du, dv, dw := ipow(s.DU(), levels), ipow(s.DV(), levels), ipow(s.DW(), levels)
-	if a.Rows%du != 0 || b.Rows%dv != 0 {
-		panic(fmt.Sprintf("bilinear: operand rows %d/%d not divisible by branching %d/%d", a.Rows, b.Rows, du, dv))
+func (e *Engine) ExecInto(c, a, b *matrix.Matrix, al pool.Allocator, cn *parallel.Cancel) {
+	if a.Rows%e.du != 0 || b.Rows%e.dv != 0 {
+		panic(fmt.Sprintf("bilinear: operand rows %d/%d not divisible by branching %d/%d", a.Rows, b.Rows, e.du, e.dv))
 	}
-	if a.Cols != b.Rows/dv {
+	if a.Cols != b.Rows/e.dv {
 		panic(fmt.Sprintf("bilinear: base blocks %dx%d · %dx%d do not conform",
-			a.Rows/du, a.Cols, b.Rows/dv, b.Cols))
+			a.Rows/e.du, a.Cols, b.Rows/e.dv, b.Cols))
 	}
-	if c.Rows != dw*(a.Rows/du) || c.Cols != b.Cols {
-		panic(fmt.Sprintf("bilinear: output %dx%d, want %dx%d", c.Rows, c.Cols, dw*(a.Rows/du), b.Cols))
+	if c.Rows != e.dw*(a.Rows/e.du) || c.Cols != b.Cols {
+		panic(fmt.Sprintf("bilinear: output %dx%d, want %dx%d", c.Rows, c.Cols, e.dw*(a.Rows/e.du), b.Cols))
 	}
-	e.recurse(c, a, b, levels, al, cn)
+	e.recurse(c, a, b, len(e.specs), al, cn)
 }
 
 func (e *Engine) recurse(c, a, b *matrix.Matrix, level int, al pool.Allocator, cn *parallel.Cancel) {

@@ -7,22 +7,51 @@ import (
 	"abmm/internal/algos"
 	"abmm/internal/bilinear"
 	"abmm/internal/matrix"
+	"abmm/internal/pool"
 )
 
-func mulRef(a, b *matrix.Matrix) *matrix.Matrix {
+// specsOf returns the engine's per-level spec list for algs.
+func specsOf(algs ...*algos.Algorithm) []*bilinear.Spec {
+	out := make([]*bilinear.Spec, len(algs))
+	for i, a := range algs {
+		out[i] = a.Spec
+	}
+	return out
+}
+
+// execStacked multiplies a·b with an engine for the per-level specs
+// (standard-basis, all on the base dims of specs[0]): it converts the
+// operands to stacked layout, runs the engine and converts the product
+// back. The dimensions must divide by the base powers; padding is
+// core.Plan's job.
+func execStacked(specs []*bilinear.Spec, a, b *matrix.Matrix, opt bilinear.Options) *matrix.Matrix {
+	m0, k0, n0, l := 1, 1, 1, len(specs)
+	if l > 0 {
+		m0, k0, n0 = specs[0].M0, specs[0].K0, specs[0].N0
+	}
+	as := bilinear.ToRecursive(a, m0, k0, l, 1)
+	bs := bilinear.ToRecursive(b, k0, n0, l, 1)
+	nl := 1
+	for i := 0; i < l; i++ {
+		nl *= n0
+	}
+	cs := matrix.New(a.Rows*nl, b.Cols/nl)
+	bilinear.NewEngine(specs, opt).ExecInto(cs, as, bs, pool.Global, nil)
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, 2)
+	bilinear.FromRecursive(cs, c, m0, n0, l, 1)
 	return c
 }
 
-func maxDiffVsClassical(t *testing.T, alg *algos.Algorithm, m, k, n, levels int, opt bilinear.Options) float64 {
-	t.Helper()
+// engineDiff runs execStacked on random m×k and k×n operands and
+// returns its largest difference from matrix.MulNaive.
+func engineDiff(specs []*bilinear.Spec, m, k, n int, opt bilinear.Options) float64 {
 	a := matrix.New(m, k)
 	b := matrix.New(k, n)
-	a.FillUniform(matrix.Rand(uint64(m*k+levels)), -1, 1)
-	b.FillUniform(matrix.Rand(uint64(k*n+levels+1)), -1, 1)
-	got := bilinear.Multiply(alg.Spec, a, b, levels, opt)
-	return matrix.MaxAbsDiff(got, mulRef(a, b))
+	a.FillUniform(matrix.Rand(uint64(m*k+len(specs))), -1, 1)
+	b.FillUniform(matrix.Rand(uint64(k*n+len(specs)+1)), -1, 1)
+	want := matrix.New(m, n)
+	matrix.MulNaive(want, a, b)
+	return matrix.MaxAbsDiff(execStacked(specs, a, b, opt), want)
 }
 
 func TestMultiplyStrassenMatchesClassical(t *testing.T) {
@@ -32,7 +61,7 @@ func TestMultiplyStrassenMatchesClassical(t *testing.T) {
 			{Workers: 1},
 			{Workers: 4},
 		} {
-			if d := maxDiffVsClassical(t, alg, 64, 64, 64, levels, opt); d > 1e-11 {
+			if d := engineDiff(specsOf(algos.Repeat(alg, levels)...), 64, 64, 64, opt); d > 1e-11 {
 				t.Errorf("levels=%d opt=%+v: diff %g", levels, opt, d)
 			}
 		}
@@ -41,7 +70,7 @@ func TestMultiplyStrassenMatchesClassical(t *testing.T) {
 
 func TestMultiplyWinogradAndClassical222(t *testing.T) {
 	for _, alg := range []*algos.Algorithm{algos.Winograd(), algos.Classical(2, 2, 2)} {
-		if d := maxDiffVsClassical(t, alg, 96, 96, 96, 2, bilinear.Options{Workers: 3}); d > 1e-11 {
+		if d := engineDiff(specsOf(alg, alg), 96, 96, 96, bilinear.Options{Workers: 3}); d > 1e-11 {
 			t.Errorf("%s: diff %g", alg.Name, d)
 		}
 	}
@@ -50,17 +79,8 @@ func TestMultiplyWinogradAndClassical222(t *testing.T) {
 func TestMultiplyRectangularBase(t *testing.T) {
 	// ⟨3,2,4⟩ classical exercises rectangular partitioning.
 	alg := algos.Classical(3, 2, 4)
-	if d := maxDiffVsClassical(t, alg, 36, 16, 64, 2, bilinear.Options{Workers: 2}); d > 1e-11 {
+	if d := engineDiff(specsOf(alg, alg), 36, 16, 64, bilinear.Options{Workers: 2}); d > 1e-11 {
 		t.Errorf("rectangular base diff %g", d)
-	}
-}
-
-func TestMultiplyOddSizesViaPadding(t *testing.T) {
-	alg := algos.Strassen()
-	for _, dims := range [][3]int{{5, 7, 3}, {33, 65, 17}, {100, 100, 100}, {1, 9, 1}} {
-		if d := maxDiffVsClassical(t, alg, dims[0], dims[1], dims[2], 2, bilinear.Options{Workers: 2}); d > 1e-11 {
-			t.Errorf("%v: diff %g", dims, d)
-		}
 	}
 }
 
@@ -70,23 +90,36 @@ func TestMultiplyKroneckerComposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ⟨4,4,2;28⟩ base case: multiply a 32x32 by 32x16.
-	if d := maxDiffVsClassical(t, k, 32, 32, 16, 1, bilinear.Options{Workers: 2}); d > 1e-11 {
+	if d := engineDiff(specsOf(k), 32, 32, 16, bilinear.Options{Workers: 2}); d > 1e-11 {
 		t.Errorf("composed algorithm diff %g", d)
 	}
 }
 
+// TestMultiplyMixedMatchesClassical runs a non-stationary recursion: a
+// different algorithm at each level.
+func TestMultiplyMixedMatchesClassical(t *testing.T) {
+	specs := specsOf(algos.Strassen(), algos.Winograd(), algos.Classical(2, 2, 2))
+	for _, opt := range []bilinear.Options{
+		{Workers: 1},
+		{Workers: 2},
+	} {
+		if d := engineDiff(specs, 72, 72, 72, opt); d > 1e-11 {
+			t.Errorf("opt %+v: diff %g", opt, d)
+		}
+	}
+}
+
+// TestMultiplyPropertyRandomSizes runs strassen at levels 0–2 on random
+// base-block shapes.
 func TestMultiplyPropertyRandomSizes(t *testing.T) {
 	alg := algos.Strassen()
 	f := func(seed uint64) bool {
-		m := int(seed%50) + 1
-		k := int(seed/50%50) + 1
-		n := int(seed/2500%50) + 1
 		levels := int(seed % 3)
-		a, b := matrix.New(m, k), matrix.New(k, n)
-		a.FillUniform(matrix.Rand(seed), -1, 1)
-		b.FillUniform(matrix.Rand(seed+1), -1, 1)
-		got := bilinear.Multiply(alg.Spec, a, b, levels, bilinear.Options{Workers: 2})
-		return matrix.MaxAbsDiff(got, mulRef(a, b)) < 1e-11
+		p := 1 << levels
+		m := p * (int(seed/3%12) + 1)
+		k := p * (int(seed/36%12) + 1)
+		n := p * (int(seed/432%12) + 1)
+		return engineDiff(specsOf(algos.Repeat(alg, levels)...), m, k, n, bilinear.Options{Workers: 2}) < 1e-11
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -110,19 +143,6 @@ func TestExecRejectsNegativeLevels(t *testing.T) {
 		}
 	}()
 	bilinear.Exec(algos.Strassen().Spec, matrix.New(4, 4), matrix.New(4, 4), -1, bilinear.Options{})
-}
-
-func TestMultiplyRejectsDecomposedSpec(t *testing.T) {
-	fd, err := algos.FullDecomposition(algos.Strassen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for decomposed spec in Multiply")
-		}
-	}()
-	bilinear.Multiply(fd.Spec, matrix.New(4, 4), matrix.New(4, 4), 1, bilinear.Options{})
 }
 
 func TestLayoutRoundTrip(t *testing.T) {

@@ -32,7 +32,7 @@ func (r *countRec) ArenaRelease(obs.ArenaUsage)        { r.arenas.Add(1) }
 func TestEngineWithRecorder(t *testing.T) {
 	alg := algos.Strassen()
 	base := &countRec{}
-	e := bilinear.NewEngine(alg.Spec, bilinear.Options{Workers: 1, Recorder: base}, 1)
+	e := bilinear.NewEngine(specsOf(alg), bilinear.Options{Workers: 1, Recorder: base})
 
 	if e.WithRecorder(base) != e {
 		t.Fatal("WithRecorder with the current recorder should return the engine unchanged")
@@ -52,7 +52,7 @@ func TestEngineWithRecorder(t *testing.T) {
 
 	run := func(eng *bilinear.Engine) *matrix.Matrix {
 		cs := matrix.New(alg.Spec.DW()*(as.Rows/alg.Spec.DU()), bs.Cols)
-		eng.ExecInto(cs, as, bs, pool.Global)
+		eng.ExecInto(cs, as, bs, pool.Global, nil)
 		return cs
 	}
 	want := run(e)
@@ -104,7 +104,7 @@ func TestTaskFanOutRule(t *testing.T) {
 	} {
 		rec := &countRec{}
 		opt := bilinear.Options{Workers: tc.workers, Recorder: rec}
-		if got := bilinear.NewEngine(alg.Spec, opt, tc.levels).FansOut(); got != tc.fansOut {
+		if got := bilinear.NewEngine(specsOf(algos.Repeat(alg, tc.levels)...), opt).FansOut(); got != tc.fansOut {
 			t.Errorf("workers=%d levels=%d: FansOut() = %t, want %t", tc.workers, tc.levels, got, tc.fansOut)
 		}
 		as := bilinear.ToRecursive(a, alg.Spec.M0, alg.Spec.K0, tc.levels, 1)
@@ -114,5 +114,12 @@ func TestTaskFanOutRule(t *testing.T) {
 			t.Errorf("workers=%d levels=%d: %d TaskSpawn events, want fan-out %t",
 				tc.workers, tc.levels, got, tc.fansOut)
 		}
+	}
+	// A per-level list reads the rank of its level-2 spec: classical
+	// ⟨2,2,2⟩ (R=8) over strassen busies 8 workers, the reverse does not.
+	c := algos.Classical(2, 2, 2)
+	opt := bilinear.Options{Workers: 8}
+	if !bilinear.NewEngine(specsOf(c, alg), opt).FansOut() || bilinear.NewEngine(specsOf(alg, c), opt).FansOut() {
+		t.Error("fan-out of a two-level list should follow the rank of its top spec")
 	}
 }

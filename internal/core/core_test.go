@@ -12,7 +12,7 @@ import (
 
 func refMul(a, b *matrix.Matrix) *matrix.Matrix {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, 2)
+	matrix.MulNaive(c, a, b)
 	return c
 }
 
@@ -31,6 +31,10 @@ func TestStandardAlgorithmsThroughPipeline(t *testing.T) {
 	for _, alg := range []*algos.Algorithm{algos.Strassen(), algos.Winograd(), algos.Classical(2, 2, 2)} {
 		for _, l := range []int{0, 1, 3} {
 			checkAlg(t, alg, 64, 64, 64, core.Options{Levels: l, Workers: 3}, 1e-11)
+		}
+		// Odd shapes go through padding and cropping.
+		for _, d := range [][3]int{{5, 7, 3}, {33, 65, 17}, {100, 100, 100}, {1, 9, 1}} {
+			checkAlg(t, alg, d[0], d[1], d[2], core.Options{Levels: 2, Workers: 2}, 1e-11)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +42,13 @@ type PlanKey struct {
 // use: every execution checks a private workspace arena out of an
 // internal pool.
 type Plan struct {
+	// alg is the plan's algorithm: the one a uniform plan repeats, or the
+	// top level of a mixed plan. algs holds one algorithm per recursion
+	// level, algs[0] at the top (L copies of alg for a uniform plan).
 	alg     *algos.Algorithm
+	algs    []*algos.Algorithm
 	key     PlanKey
-	levels  int
+	levels  int // len(algs)
 	workers int
 	tuned   bool // configuration came from a Tuner decision
 
@@ -121,13 +126,47 @@ func resolveLevels(alg *algos.Algorithm, opt Options, m, k, n int) int {
 }
 
 // NewPlan compiles a plan for multiplying m×k by k×n with alg under
-// opt. The returned plan is shape-specific; Multiplier maintains an LRU
-// cache of these keyed by shape.
+// opt: it resolves the recursion depth L and runs L levels of alg. The
+// returned plan is shape-specific; Multiplier maintains an LRU cache of
+// these keyed by shape.
 func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
-	levels := resolveLevels(alg, opt, m, k, n)
+	return newPlan(alg, algos.Repeat(alg, resolveLevels(alg, opt, m, k, n)), opt, m, k, n)
+}
+
+// NewMixedPlan compiles a non-stationary ("non-uniform") recursion in
+// the sense of Castrapel–Gustafson and D'Alberto for multiplying m×k by
+// k×n: algs[0] at the top level, algs[1] one level down, and so on for
+// len(algs) levels before the classical base case; opt.Levels is
+// ignored. The algorithms must be standard-basis with identical base
+// dimensions, so the block partition stays that of one stacked layout;
+// the paper's Section V notes the technique does not readily extend to
+// alternative bases. A list that breaks these rules is an error.
+func NewMixedPlan(algs []*algos.Algorithm, opt Options, m, k, n int) (*Plan, error) {
+	if len(algs) == 0 {
+		return nil, fmt.Errorf("core: a mixed plan needs at least one algorithm")
+	}
+	top := algs[0].Spec
+	for _, alg := range algs {
+		if alg.IsAltBasis() {
+			return nil, fmt.Errorf("core: mixed plan: %s is an alternative basis algorithm", alg.Name)
+		}
+		if s := alg.Spec; s.M0 != top.M0 || s.K0 != top.K0 || s.N0 != top.N0 {
+			return nil, fmt.Errorf("core: mixed plan: %s has base dims ⟨%d,%d,%d⟩, %s has ⟨%d,%d,%d⟩",
+				algs[0].Name, top.M0, top.K0, top.N0, alg.Name, s.M0, s.K0, s.N0)
+		}
+	}
+	return newPlan(algs[0], algs, opt, m, k, n), nil
+}
+
+// newPlan compiles the recursion of the per-level algorithms algs with
+// alg as the plan's algorithm: the pipeline of pad, stack, φ/ψ, the
+// bilinear engine, νᵀ, unstack and crop, with every shape fixed.
+func newPlan(alg *algos.Algorithm, algs []*algos.Algorithm, opt Options, m, k, n int) *Plan {
+	levels := len(algs)
 	w := opt.workers()
 	p := &Plan{
 		alg:     alg,
+		algs:    algs,
 		key:     PlanKey{M: m, K: k, N: n},
 		levels:  levels,
 		workers: w,
@@ -192,7 +231,11 @@ func NewPlan(alg *algos.Algorithm, opt Options, m, k, n int) *Plan {
 			p.nuR = ipow(p.nuT.D2, levels) * ch
 		}
 	}
-	p.eng = bilinear.NewEngine(s, p.bopt, levels)
+	specs := make([]*bilinear.Spec, levels)
+	for i, a := range algs {
+		specs[i] = a.Spec
+	}
+	p.eng = bilinear.NewEngine(specs, p.bopt)
 	// Base-case shape of the compiled recursion: what one packed-kernel
 	// call sees, and therefore what sizes the panel workspace.
 	p.panelBytes = p.kb.PanelBytes(
@@ -212,7 +255,7 @@ func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
 		sched = "task"
 	}
 	id := obs.PlanID{
-		Alg: p.alg.Name, M: p.key.M, K: p.key.K, N: p.key.N,
+		Alg: p.name(), M: p.key.M, K: p.key.K, N: p.key.N,
 		Levels: p.levels, Schedule: sched, Kernel: p.kb.Label(),
 		Tuned: p.tuned,
 	}
@@ -221,6 +264,22 @@ func (p *Plan) claimSlot(reg *obs.PlanRegistry) {
 		p.plans = reg
 		p.slot = reg.Claim(id, p.info.ClassicalFlops, p.info.AlgFlops)
 	}
+}
+
+// name is the algorithm segment of the plan identity: the algorithm's
+// name, or the per-level names joined by "+" for a mixed plan whose
+// levels differ.
+func (p *Plan) name() string {
+	for _, a := range p.algs {
+		if a != p.alg {
+			names := make([]string, len(p.algs))
+			for i, a := range p.algs {
+				names[i] = a.Name
+			}
+			return strings.Join(names, "+")
+		}
+	}
+	return p.alg.Name
 }
 
 // retire releases the plan's registry slot; the plan cache calls it
@@ -238,13 +297,13 @@ func (p *Plan) compileInfo() {
 		M: p.key.M, K: p.key.K, N: p.key.N,
 		Levels:         p.levels,
 		ClassicalFlops: 2 * m * k * n,
-		AlgFlops:       stability.ArithmeticCost(p.alg, p.pm, p.pk, p.pn, p.levels).Total(),
+		AlgFlops:       stability.ArithmeticCost(p.algs, p.pm, p.pk, p.pn).Total(),
 	}
 	// The depth-aware Theorem III.8 bound of the compiled recursion
 	// (valid at levels 0 too, where it reduces to the classical
 	// max-norm bound), evaluated at the padded inner dimension and
 	// scaled by ε = 2⁻⁵³: ‖Ĉ−C‖ ≤ errBound·‖A‖‖B‖ + O(ε²).
-	p.errBound = stability.ErrorBoundKL(p.alg, float64(p.pk), p.levels) * 0x1p-53
+	p.errBound = stability.ErrorBoundKL(p.algs, float64(p.pk)) * 0x1p-53
 }
 
 // Key returns the operand shape the plan was compiled for.
@@ -258,7 +317,8 @@ func (p *Plan) Levels() int { return p.levels }
 func (p *Plan) Tuned() bool { return p.tuned }
 
 // Alg returns the algorithm the plan was compiled with — the
-// multiplier's own unless a Tuner substituted another.
+// multiplier's own unless a Tuner substituted another, and the top
+// level of a mixed plan (NewMixedPlan).
 func (p *Plan) Alg() *algos.Algorithm { return p.alg }
 
 // ArenaBytes returns the high-water mark of workspace bytes held by any
@@ -437,20 +497,20 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 		ps = ms.StartPhase(obs.PhaseForward)
 		if p.phi != nil {
 			if p.phiIP {
-				p.phi.ApplyInPlaceFromCancel(as, p.levels, w, ar, cn)
+				p.phi.ApplyInPlace(as, p.levels, w, ar, cn)
 			} else {
 				t := ar.Mat(p.phiR, p.asC)
-				p.phi.ApplyIntoCancel(t, as, p.levels, w, ar, cn)
+				p.phi.ApplyInto(t, as, p.levels, w, ar, cn)
 				ar.PutMat(as)
 				as = t
 			}
 		}
 		if p.psi != nil {
 			if p.psiIP {
-				p.psi.ApplyInPlaceFromCancel(bs, p.levels, w, ar, cn)
+				p.psi.ApplyInPlace(bs, p.levels, w, ar, cn)
 			} else {
 				t := ar.Mat(p.psiR, p.bsC)
-				p.psi.ApplyIntoCancel(t, bs, p.levels, w, ar, cn)
+				p.psi.ApplyInto(t, bs, p.levels, w, ar, cn)
 				ar.PutMat(bs)
 				bs = t
 			}
@@ -461,7 +521,7 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 	// Recursive-bilinear phase.
 	ps = ms.StartPhase(obs.PhaseBilinear)
 	cs := ar.Mat(p.csR, p.csC)
-	eng.ExecIntoCancel(cs, as, bs, ar, cn)
+	eng.ExecInto(cs, as, bs, ar, cn)
 	ar.PutMat(as)
 	ar.PutMat(bs)
 	ps.End()
@@ -470,10 +530,10 @@ func (p *Plan) runRec(dst, a, b *matrix.Matrix, cn *parallel.Cancel, rec obs.Rec
 	if p.nuT != nil {
 		ps = ms.StartPhase(obs.PhaseInverse)
 		if p.nuIP {
-			p.nuT.ApplyInPlaceFromCancel(cs, p.levels, w, ar, cn)
+			p.nuT.ApplyInPlace(cs, p.levels, w, ar, cn)
 		} else {
 			t := ar.Mat(p.nuR, p.csC)
-			p.nuT.ApplyIntoCancel(t, cs, p.levels, w, ar, cn)
+			p.nuT.ApplyInto(t, cs, p.levels, w, ar, cn)
 			ar.PutMat(cs)
 			cs = t
 		}

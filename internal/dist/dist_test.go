@@ -10,7 +10,7 @@ import (
 
 func refMul(a, b *matrix.Matrix) *matrix.Matrix {
 	c := matrix.New(a.Rows, b.Cols)
-	matrix.Mul(c, a, b, 2)
+	matrix.MulNaive(c, a, b)
 	return c
 }
 

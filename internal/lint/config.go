@@ -50,7 +50,6 @@ func DefaultConfig(dir string) Config {
 		AllowedImports: map[string][]string{
 			"abmm": {
 				"abmm/internal/algos",
-				"abmm/internal/bilinear",
 				"abmm/internal/core",
 				"abmm/internal/dd",
 				"abmm/internal/matrix",

@@ -26,20 +26,24 @@ type Cost struct {
 func (c Cost) Total() int64 { return c.Mults + c.BilinearAdds + c.BaseAdds + c.TransformAdds }
 
 // ArithmeticCost computes the exact scalar operation counts of running
-// the algorithm on an M×K by K×N multiplication with L recursion steps
-// (dimensions must be divisible by the respective base powers; callers
-// normally pass padded sizes). The counts follow the implementation
-// precisely: CSE-scheduled linear phases, classical base case, and the
-// recursive basis transformations of Algorithm 1.
-func ArithmeticCost(alg *algos.Algorithm, m, k, n, l int) Cost {
-	s := alg.Spec
-	encA, encB, dec := s.ScheduledAdditions()
+// the per-level algorithms algs (algs[0] at the top, len(algs)
+// recursion steps) on an M×K by K×N multiplication (dimensions must be
+// divisible by the respective base powers; callers normally pass padded
+// sizes). A uniform recursion passes L copies of one algorithm
+// (algos.Repeat). The counts follow the implementation precisely:
+// CSE-scheduled linear phases, classical base case, and the recursive
+// basis transformations of Algorithm 1 — those of algs[0], since only a
+// uniform recursion runs in an alternative basis.
+func ArithmeticCost(algs []*algos.Algorithm, m, k, n int) Cost {
 	var c Cost
-	// Linear phases: at depth j (0 = top) there are R^j nodes; each
-	// performs the scheduled additions on blocks one level smaller.
+	// Linear phases: at depth j (0 = top) there are R₀·…·R_{j−1}
+	// nodes; each performs level j's scheduled additions on blocks one
+	// level smaller.
 	nodes := int64(1)
 	mi, ki, ni := int64(m), int64(k), int64(n)
-	for j := 0; j < l; j++ {
+	for _, alg := range algs {
+		s := alg.Spec
+		encA, encB, dec := s.ScheduledAdditions()
 		am := mi / int64(s.M0) * (ki / int64(s.K0)) // encode-A block elements
 		bm := ki / int64(s.K0) * (ni / int64(s.N0)) // encode-B block elements
 		cm := mi / int64(s.M0) * (ni / int64(s.N0)) // decode block elements
@@ -47,10 +51,15 @@ func ArithmeticCost(alg *algos.Algorithm, m, k, n, l int) Cost {
 		nodes *= int64(s.R)
 		mi, ki, ni = mi/int64(s.M0), ki/int64(s.K0), ni/int64(s.N0)
 	}
-	// Base cases: nodes = R^L classical multiplies of mi×ki by ki×ni.
+	// Base cases: nodes classical multiplies of mi×ki by ki×ni.
 	c.Mults = nodes * mi * ki * ni
 	c.BaseAdds = nodes * mi * (ki - 1) * ni
+	if len(algs) == 0 {
+		return c
+	}
 	// Basis transformations.
+	alg, l := algs[0], len(algs)
+	s := alg.Spec
 	if alg.Phi != nil {
 		c.TransformAdds += transformCost(alg.Phi, int64(m)*int64(k)/int64(s.M0*s.K0), l)
 	}
@@ -117,7 +126,7 @@ func LeadingCoefficientNumeric(alg *algos.Algorithm) float64 {
 	omega := 3 * math.Log(float64(s.R)) / math.Log(float64(s.M0*s.K0*s.N0))
 	coeff := func(l int) float64 {
 		m, k, n := ipow(s.M0, l), ipow(s.K0, l), ipow(s.N0, l)
-		cost := ArithmeticCost(alg, m, k, n, l)
+		cost := ArithmeticCost(algos.Repeat(alg, l), m, k, n)
 		nEff := math.Pow(float64(m)*float64(k)*float64(n), 1.0/3)
 		return float64(cost.Total()) / math.Pow(nEff, omega)
 	}

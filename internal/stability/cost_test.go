@@ -29,7 +29,7 @@ func TestStrassenCostClosedForm(t *testing.T) {
 	alg := algos.Strassen()
 	for _, l := range []int{1, 4, 8} {
 		n := 1 << uint(l)
-		c := ArithmeticCost(alg, n, n, n, l)
+		c := ArithmeticCost(algos.Repeat(alg, l), n, n, n)
 		nf := float64(n)
 		want := 7*math.Pow(nf, math.Log2(7)) - 6*nf*nf
 		if got := float64(c.Total()); math.Abs(got-want) > 1e-6*want {
@@ -44,11 +44,21 @@ func TestStrassenCostClosedForm(t *testing.T) {
 func TestWinogradCostClosedForm(t *testing.T) {
 	alg := algos.Winograd()
 	n := 1 << 8
-	c := ArithmeticCost(alg, n, n, n, 8)
+	c := ArithmeticCost(algos.Repeat(alg, 8), n, n, n)
 	nf := float64(n)
 	want := 6*math.Pow(nf, math.Log2(7)) - 5*nf*nf
 	if got := float64(c.Total()); math.Abs(got-want) > 1e-6*want {
 		t.Errorf("cost %g, want %g", got, want)
+	}
+	// Per-level lists count each level's additions on its own blocks:
+	// 4×4 with strassen (18 adds) over winograd (15) costs 18·4 + 7·15
+	// additions and 49 multiplications; the reverse order 15·4 + 7·18.
+	s := algos.Strassen()
+	if got := ArithmeticCost([]*algos.Algorithm{s, alg}, 4, 4, 4).Total(); got != 18*4+7*15+49 {
+		t.Errorf("strassen over winograd costs %d, want %d", got, 18*4+7*15+49)
+	}
+	if got := ArithmeticCost([]*algos.Algorithm{alg, s}, 4, 4, 4).Total(); got != 15*4+7*18+49 {
+		t.Errorf("winograd over strassen costs %d, want %d", got, 15*4+7*18+49)
 	}
 }
 
@@ -57,7 +67,7 @@ func TestOursCostClosedForm(t *testing.T) {
 	alg := algos.Ours()
 	for _, l := range []int{4, 8} {
 		n := 1 << uint(l)
-		c := ArithmeticCost(alg, n, n, n, l)
+		c := ArithmeticCost(algos.Repeat(alg, l), n, n, n)
 		nf := float64(n)
 		want := 5*math.Pow(nf, math.Log2(7)) - 4*nf*nf + 2.25*nf*nf*math.Log2(nf)
 		if got := float64(c.Total()); math.Abs(got-want) > 1e-6*want {
@@ -70,7 +80,7 @@ func TestAltWinogradCostClosedForm(t *testing.T) {
 	// Schwartz–Vaknin profile: 5n^{log₂7} − 4n² + (3/2)n²log₂n.
 	alg := algos.AltWinograd()
 	n := 1 << 8
-	c := ArithmeticCost(alg, n, n, n, 8)
+	c := ArithmeticCost(algos.Repeat(alg, 8), n, n, n)
 	nf := float64(n)
 	want := 5*math.Pow(nf, math.Log2(7)) - 4*nf*nf + 1.5*nf*nf*math.Log2(nf)
 	if got := float64(c.Total()); math.Abs(got-want) > 1e-6*want {
@@ -80,21 +90,21 @@ func TestAltWinogradCostClosedForm(t *testing.T) {
 
 func TestClassicalCost(t *testing.T) {
 	alg := algos.Classical(2, 2, 2)
-	c := ArithmeticCost(alg, 64, 64, 64, 0)
+	c := ArithmeticCost(algos.Repeat(alg, 0), 64, 64, 64)
 	if c.Mults != 64*64*64 || c.BaseAdds != 64*63*64 {
 		t.Errorf("classical base cost wrong: %+v", c)
 	}
 	// Recursing with the classical algorithm must not change totals
 	// beyond the removed large-k inner additions... it must cost the
 	// same multiplications.
-	c3 := ArithmeticCost(alg, 64, 64, 64, 3)
+	c3 := ArithmeticCost(algos.Repeat(alg, 3), 64, 64, 64)
 	if c3.Mults != c.Mults {
 		t.Errorf("classical recursion changed multiplication count: %d vs %d", c3.Mults, c.Mults)
 	}
 }
 
 func TestCostZeroLevelsIsClassical(t *testing.T) {
-	c := ArithmeticCost(algos.Strassen(), 128, 64, 32, 0)
+	c := ArithmeticCost(algos.Repeat(algos.Strassen(), 0), 128, 64, 32)
 	if c.Mults != 128*64*32 || c.BilinearAdds != 0 || c.TransformAdds != 0 {
 		t.Errorf("L=0 cost wrong: %+v", c)
 	}
@@ -112,7 +122,7 @@ func TestLeadingCoefficientNumericMatchesClosedForm(t *testing.T) {
 
 func TestRectangularCostRuns(t *testing.T) {
 	alg := algos.Classical(3, 2, 4)
-	c := ArithmeticCost(alg, 9, 4, 16, 2)
+	c := ArithmeticCost(algos.Repeat(alg, 2), 9, 4, 16)
 	if c.Mults != 9*4*16 {
 		t.Errorf("rectangular classical mults = %d, want %d", c.Mults, 9*4*16)
 	}

@@ -247,13 +247,29 @@ func ErrorBound(alg *algos.Algorithm, n float64) float64 {
 	return (1 + q*logN) * math.Pow(n, math.Log(e)/math.Log(n0))
 }
 
-// ErrorBoundKL evaluates the Theorem III.8 bound factor
-// f_ALG(K,L) = (K/K₀^L + Q'·L)·(K/K₀^L)·E^L with the loose prefactor.
-func ErrorBoundKL(alg *algos.Algorithm, k float64, l int) float64 {
-	e := FactorFloat(alg)
-	qp := float64(PrefactorLoose(alg))
-	base := k / math.Pow(float64(alg.Spec.K0), float64(l))
-	return (base + qp*float64(l)) * base * math.Pow(e, float64(l))
+// ErrorBoundKL evaluates the Theorem III.8 bound factor of a recursion
+// that runs algs[0] at the top level and algs[l] l levels below it,
+// with the loose prefactor:
+//
+//	f(K, L) = (K/K₀^L + Σₗ Q'ₗ)·(K/K₀^L)·Πₗ Eₗ,   L = len(algs),
+//
+// where K₀^L is the product of the per-level K₀. For L copies of one
+// algorithm (algos.Repeat) it is the paper's (K/K₀^L + Q'·L)·(K/K₀^L)·E^L;
+// the per-level induction step is in DESIGN.md §2a.
+func ErrorBoundKL(algs []*algos.Algorithm, k float64) float64 {
+	k0, q, e := 1.0, 0.0, 1.0
+	var ql, el float64
+	for i, alg := range algs {
+		if i == 0 || alg != algs[i-1] {
+			// Exact-rational work; a uniform list computes it once.
+			ql, el = float64(PrefactorLoose(alg)), FactorFloat(alg)
+		}
+		k0 *= float64(alg.Spec.K0)
+		q += ql
+		e *= el
+	}
+	base := k / k0
+	return (base + q) * base * e
 }
 
 // ErrorExponent returns log_{N₀}E, the exponent of the error bound —

@@ -154,10 +154,18 @@ func TestErrorBoundOrdering(t *testing.T) {
 func TestErrorBoundKL(t *testing.T) {
 	alg := algos.Strassen()
 	// L=0 reduces to the classical bound (K+0)·K·E⁰ = K².
-	if got := ErrorBoundKL(alg, 64, 0); got != 64*64 {
+	if got := ErrorBoundKL(algos.Repeat(alg, 0), 64); got != 64*64 {
 		t.Errorf("L=0 bound = %g, want 4096", got)
 	}
-	if ErrorBoundKL(alg, 64, 3) <= ErrorBoundKL(alg, 64, 0)/10 {
+	if ErrorBoundKL(algos.Repeat(alg, 3), 64) <= ErrorBoundKL(algos.Repeat(alg, 0), 64)/10 {
 		t.Error("bound should not collapse with levels")
+	}
+	// A non-stationary list sums the per-level prefactors and multiplies
+	// the per-level stability factors.
+	w := algos.Winograd()
+	base := 64.0 / 4
+	want := (base + float64(PrefactorLoose(alg)+PrefactorLoose(w))) * base * FactorFloat(alg) * FactorFloat(w)
+	if got := ErrorBoundKL([]*algos.Algorithm{alg, w}, 64); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("strassen+winograd bound = %g, want %g", got, want)
 	}
 }

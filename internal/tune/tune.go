@@ -304,7 +304,7 @@ func (t *Tuner) Candidates(def *algos.Algorithm, m, k, n int) []Candidate {
 				t.pruned.Add(1)
 				continue // deeper levels pad differently; keep looking
 			}
-			bound := stability.ErrorBoundKL(alg, float64(pk), l)
+			bound := stability.ErrorBoundKL(algos.Repeat(alg, l), float64(pk))
 			if t.cfg.MaxBoundRatio > 0 && bound > t.cfg.MaxBoundRatio*float64(pk)*float64(pk) {
 				t.pruned.Add(1)
 				continue
@@ -369,7 +369,7 @@ func (t *Tuner) Tune(def *algos.Algorithm, opt core.Options, m, k, n int, budget
 		Alg: def.Name, Levels: defPlan.Levels(),
 		Workers:     opt.Workers,
 		NsPerOp:     defNs,
-		BoundFactor: stability.ErrorBoundKL(def, float64(k), defPlan.Levels()),
+		BoundFactor: stability.ErrorBoundKL(algos.Repeat(def, defPlan.Levels()), float64(k)),
 	}
 	for _, c := range t.Candidates(def, m, k, n) {
 		if sameAsDefault(c, def, defPlan.Levels(), opt) {

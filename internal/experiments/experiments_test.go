@@ -147,10 +147,20 @@ func TestPhasesBreakdown(t *testing.T) {
 	if len(tab.Rows) != 4 { // one per ⟨2,2,2;7⟩ algorithm
 		t.Fatalf("want 4 rows, got %d", len(tab.Rows))
 	}
+	col := func(name string) int {
+		for i, h := range tab.Header {
+			if h == name {
+				return i
+			}
+		}
+		t.Fatalf("no %q column in %v", name, tab.Header)
+		return -1
+	}
+	pad, crop, reuseCol := col("pad"), col("crop"), col("reuse")
 	for _, row := range tab.Rows {
-		// Shares (columns 3..7) must sum to ~100% of wall time.
+		// Pipeline shares (pad..crop) must sum to ~100% of wall time.
 		var sum float64
-		for _, cell := range row[3:8] {
+		for _, cell := range row[pad : crop+1] {
 			var v float64
 			mustScanF(t, strings.TrimSuffix(cell, "%"), &v)
 			sum += v
@@ -158,10 +168,10 @@ func TestPhasesBreakdown(t *testing.T) {
 		if sum < 90 || sum > 101 {
 			t.Errorf("%s L=%s: phase shares sum to %.1f%%, want ~100%%", row[0], row[1], sum)
 		}
-		// A warm plan reuses its scratch (exactly 1.000 unless a GC
-		// cycle reclaims the pooled arena mid-test, so allow slack).
+		// A warm plan reuses its scratch: the plan hands the arena of
+		// its last execution back to the next one, so this reads 1.000.
 		var reuse float64
-		mustScanF(t, row[10], &reuse)
+		mustScanF(t, row[reuseCol], &reuse)
 		if reuse < 0.5 {
 			t.Errorf("%s L=%s: warm arena reuse %.3f, want ~1", row[0], row[1], reuse)
 		}

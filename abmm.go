@@ -226,18 +226,15 @@ func MultiplyClassical(a, b *Matrix, workers int) *Matrix {
 // different algorithm at each level, algs[0] outermost, recursing
 // len(algs) levels before the classical base case. It compiles one
 // mixed plan (see core.NewMixedPlan) and honours opt except Levels,
-// which the list fixes, and Tuner. All algorithms must be
+// which the list fixes, and Tuner; like Multiply, it releases the
+// plan's Options.Plans slot when it returns. All algorithms must be
 // standard-basis with identical base dimensions (the
 // Castrapel–Gustafson / D'Alberto technique does not readily extend to
 // alternative bases; see the paper's Section V); an empty list, an
 // alternative basis algorithm or disagreeing base dimensions return an
 // error. Like Multiply, it panics when a.Cols != b.Rows.
 func MultiplyMixed(algs []*Algorithm, a, b *Matrix, opt Options) (*Matrix, error) {
-	p, err := core.NewMixedPlan(algs, opt, a.Rows, a.Cols, b.Cols)
-	if err != nil {
-		return nil, err
-	}
-	return p.Multiply(a, b), nil
+	return core.MultiplyMixed(algs, a, b, opt)
 }
 
 // ScalingMethod selects a diagonal scaling strategy for

@@ -188,6 +188,26 @@ func TestMultiplyMixedPublic(t *testing.T) {
 	}
 }
 
+// TestOneShotReleasesPlanSlot: Multiply and MultiplyMixed compile a
+// throwaway plan per call, and each releases its registry slot, so a
+// one-slot registry serves calls of different shapes without
+// overflowing.
+func TestOneShotReleasesPlanSlot(t *testing.T) {
+	strassen, _ := abmm.Lookup("strassen")
+	reg := abmm.NewPlanRegistry(1)
+	opt := abmm.Options{Levels: 1, Plans: reg}
+	for _, n := range []int{16, 24} {
+		a, b := abmm.NewMatrix(n, n), abmm.NewMatrix(n, n)
+		abmm.Multiply(strassen, a, b, opt)
+		if _, err := abmm.MultiplyMixed([]*abmm.Algorithm{strassen}, a, b, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if o := reg.Overflowed(); o != 0 {
+		t.Fatalf("%d plan(s) overflowed a one-slot registry", o)
+	}
+}
+
 // TestMultiplyClassicalBitwiseNaive: the classical product follows IEEE
 // rules exactly — bitwise equal to the textbook triple loop, with every
 // NaN matched by a NaN — on inputs holding 0·Inf, ±Inf, NaN and 1e308.

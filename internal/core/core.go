@@ -238,6 +238,22 @@ func (mu *Multiplier) Multiply(a, b *matrix.Matrix) *matrix.Matrix {
 }
 
 // Multiply is a convenience wrapper: one-shot multiplication with alg.
+// The throwaway plan releases its Options.Plans slot when it is done.
 func Multiply(alg *algos.Algorithm, a, b *matrix.Matrix, opt Options) *matrix.Matrix {
-	return New(alg, opt).Multiply(a, b)
+	mu := New(alg, opt)
+	c := mu.Multiply(a, b)
+	mu.Plan(a.Rows, a.Cols, b.Cols).retire()
+	return c
+}
+
+// MultiplyMixed is the one-shot form of NewMixedPlan: it compiles the
+// mixed plan for a·b, multiplies, and releases the plan's Options.Plans
+// slot.
+func MultiplyMixed(algs []*algos.Algorithm, a, b *matrix.Matrix, opt Options) (*matrix.Matrix, error) {
+	p, err := NewMixedPlan(algs, opt, a.Rows, a.Cols, b.Cols)
+	if err != nil {
+		return nil, err
+	}
+	defer p.retire()
+	return p.Multiply(a, b), nil
 }

@@ -104,11 +104,6 @@ type Plan struct {
 	sampleTick  atomic.Int64
 	errBound    float64
 
-	// hot holds the arena the last finished execution released, so a
-	// caller that runs the plan again gets that warm arena back whatever
-	// P it runs on and however many GC cycles pass; the arenas of
-	// concurrent executions overflow into the arenas pool.
-	hot    atomic.Pointer[pool.Arena]
 	arenas sync.Pool // of *pool.Arena
 	bytes  atomic.Int64
 }
@@ -349,12 +344,7 @@ func (p *Plan) Desc() string { return p.desc }
 // per-request accuracy metadata.
 func (p *Plan) ErrorBound() float64 { return p.errBound }
 
-func (p *Plan) checkout() *pool.Arena {
-	if ar := p.hot.Swap(nil); ar != nil {
-		return ar
-	}
-	return p.arenas.Get().(*pool.Arena)
-}
+func (p *Plan) checkout() *pool.Arena { return p.arenas.Get().(*pool.Arena) }
 
 func (p *Plan) release(ar *pool.Arena) {
 	b := ar.Bytes()
@@ -365,9 +355,7 @@ func (p *Plan) release(ar *pool.Arena) {
 		}
 	}
 	p.slot.ArenaHighWater(b)
-	if !p.hot.CompareAndSwap(nil, ar) {
-		p.arenas.Put(ar)
-	}
+	p.arenas.Put(ar)
 }
 
 // MultiplyInto computes dst = A·B along the compiled plan. dst must be
